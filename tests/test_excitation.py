@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dataclasses import replace
+
 import temsphere as ts
 from temsphere.core import ParameterError
 from temsphere.excitation import (
@@ -159,6 +161,76 @@ class TestExcitationAmplitudes:
                 assert v == 0.0
             else:
                 assert v != 0.0
+
+
+SQUARE = ts.Loop(kind="polygon", vertices=(
+    (-0.25, -0.3, 0.3), (0.35, -0.3, 0.3), (0.35, 0.3, 0.3), (-0.25, 0.3, 0.3)))
+TRIANGLE = ts.Loop(kind="polygon", windings=3, vertices=(
+    (0.3, 0.05, 0.35), (-0.2, 0.3, 0.35), (-0.15, -0.3, 0.35)))
+COAXIAL_TX = ts.Loop(kind="circular", radius_m=0.4, height_m=0.3)
+COAXIAL_RX = ts.Loop(kind="circular", radius_m=0.25, height_m=0.35, windings=2)
+PULSES = {
+    "step": ts.PulseWaveform(base_current_a=2.0, windings=2, ramp="step"),
+    "linear": ts.PulseWaveform(base_current_a=2.0, ramp="linear", tau_r_s=3e-5, t0_s=3e-5),
+    "table": ts.PulseWaveform(
+        base_current_a=1.5, ramp="table", t0_s=4e-5,
+        table=((0.0, 1.5), (2e-5, 0.6), (4e-5, 0.0)),
+    ),
+}
+
+
+def per_mode_excitation(lib, pulse, tx, rx):
+    """Reference: the single-mode API, one mode (and one m) at a time."""
+    i_n, a_n, v_n = [], [], []
+    for mode in lib.modes:
+        i_n.append(pulse_history_integral(pulse, mode.decay_rate_per_s))
+        if isinstance(tx, ts.UniformField):
+            amp = ts.excitation_amplitude(mode, pulse, tx, lib.target, lib.background_mu_r)
+            volt = ts.voltage_coefficient(mode, amp, rx)
+        else:
+            amp = ts.excitation_amplitude(mode, pulse, tx)
+            # the stored m = 0 mode stands for its 2l+1 degenerate partners
+            partners = [replace(mode, m=m) for m in range(-mode.l, mode.l + 1)]
+            volt = sum(
+                (
+                    p.decay_rate_per_s * rx.windings
+                    * ts.excitation_amplitude(p, pulse, tx) * coil_line_integral(p, rx)
+                ).real
+                for p in partners
+            )
+            if rx.kind == "circular":  # only m = 0 couples to a coaxial receiver
+                assert ts.voltage_coefficient(mode, amp, rx) == pytest.approx(volt, rel=1e-12)
+        a_n.append(amp)
+        v_n.append(volt)
+    return np.array(i_n), np.array(a_n), np.array(v_n)
+
+
+class TestComputeExcitationOracle:
+    @pytest.mark.parametrize(
+        "tx, rx, pulse, max_l, mu_r",
+        [
+            (COAXIAL_TX, COAXIAL_RX, "step", 1, 1.0),
+            (COAXIAL_TX, COAXIAL_RX, "linear", 3, 60.0),
+            (SQUARE, COAXIAL_RX, "table", 2, 1.0),
+            (SQUARE, TRIANGLE, "step", 4, 60.0),
+            (ts.UniformField(1.5), COAXIAL_RX, "step", 1, 60.0),
+            (ts.UniformField(1.5), TRIANGLE, "table", 2, 1.0),
+        ],
+        ids=["coaxial-step", "coaxial-linear", "polygon-table", "polygon-both",
+             "uniform-step", "uniform-table"],
+    )
+    def test_matches_per_mode_loop(self, tx, rx, pulse, max_l, mu_r):
+        target = ts.TargetSpec(
+            radius_m=0.05,
+            material=ts.MaterialSpec(conductivity_s_per_m=1 / 2.8e-8, relative_permeability=mu_r),
+        )
+        lib = ts.build_mode_library(target, 1.0, max_l=max_l, count_per_l=30)
+        coeffs = ts.compute_excitation(lib, PULSES[pulse], tx, rx)
+        i_n, a_n, v_n = per_mode_excitation(lib, PULSES[pulse], tx, rx)
+        np.testing.assert_allclose(coeffs.pulse_integrals, i_n, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(coeffs.amplitudes, a_n, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(coeffs.voltages, v_n, rtol=1e-12, atol=0.0)
+        assert np.count_nonzero(v_n) > 0
 
 
 class TestSynthesis:

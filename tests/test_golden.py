@@ -1,0 +1,137 @@
+"""Golden outputs: the `modes` and `simulate` payloads of six pinned configs.
+
+Each case runs the CLI in-process and compares its payloads with files
+recorded under ``tests/golden/<case>/``: ``modes.json`` must be
+byte-identical and ``simulate.csv`` must keep its gates, regime and quality
+columns and match every value at rtol 1e-12.  The cases span coaxial,
+polygon and uniform-field transmitters, step, linear and table pulses,
+max_l 1-4 and mu_r 1 and 60, so a faster spectral core or excitation path
+has to reproduce the physics it replaces.
+
+Regenerate the recorded files only for an intended change of results:
+``PYTHONPATH=src python tests/test_golden.py --write``.
+"""
+
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from temsphere import cli
+from temsphere.core import MU_0
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+RTOL = 1e-12
+
+COAXIAL_TX = {"kind": "circular", "radius_m": 0.4, "height_m": 0.3, "windings": 1}
+COAXIAL_RX = {"kind": "circular", "radius_m": 0.25, "height_m": 0.35, "windings": 2}
+SQUARE_TX = {"kind": "polygon", "windings": 1, "vertices_m": [
+    [-0.25, -0.3, 0.3], [0.35, -0.3, 0.3], [0.35, 0.3, 0.3], [-0.25, 0.3, 0.3]]}
+TRIANGLE_RX = {"kind": "polygon", "windings": 3, "vertices_m": [
+    [0.3, 0.05, 0.35], [-0.2, 0.3, 0.35], [-0.15, -0.3, 0.35]]}
+UNIFORM_TX = {"kind": "uniform", "amplitude_a_per_m": 1.5}
+
+
+def _config(radius, rho, mu_r, pulse, tx, rx, max_l, max_n):
+    return {
+        "target": {"radius_m": radius, "resistivity_ohm_m": rho, "mu_r": mu_r},
+        "background": {"resistivity_ohm_m": 100.0, "mu_r": 1.0},
+        "standoff_m": 0.5,
+        "pulse": pulse,
+        "loops": {"transmitter": tx, "receiver": rx},
+        "options": {"max_l": max_l, "max_n": max_n},
+    }
+
+
+def _ramp(kind, tau_c, frac=3e-4):
+    d = frac * tau_c
+    if kind == "step":
+        return {"base_current_a": 2.0, "windings": 2, "ramp": "step", "t0_s": 0.0}
+    if kind == "linear":
+        return {"base_current_a": 2.0, "windings": 1, "ramp": "linear",
+                "tau_r_s": d, "t0_s": d}
+    return {"base_current_a": 1.5, "windings": 1, "ramp": "table", "t0_s": d,
+            "table": [[0.0, 1.5], [0.5 * d, 0.6], [d, 0.0]]}
+
+
+def _case(radius, rho, mu_r, ramp, tx, rx, max_l, max_n):
+    tau_c = MU_0 * mu_r * radius**2 / rho
+    cfg = _config(radius, rho, mu_r, _ramp(ramp, tau_c), tx, rx, max_l, max_n)
+    t0 = cfg["pulse"]["t0_s"]
+    gates = f"{t0 + 1e-5 * tau_c!r},{t0 + 5.0 * tau_c!r},48"
+    return cfg, gates
+
+
+CASES = {
+    "coaxial-step-l1-mu1": _case(0.05, 2.8e-8, 1.0, "step", COAXIAL_TX, COAXIAL_RX, 1, 450),
+    "coaxial-linear-l3-mu60": _case(0.04, 7.0e-8, 60.0, "linear", COAXIAL_TX, COAXIAL_RX, 3, 60),
+    "polygon-table-l2-mu1": _case(0.06, 1.7e-8, 1.0, "table", SQUARE_TX, COAXIAL_RX, 2, 50),
+    "polygon-step-l4-mu60": _case(0.05, 2.8e-8, 60.0, "step", SQUARE_TX, TRIANGLE_RX, 4, 40),
+    "uniform-step-l1-mu60": _case(0.03, 7.0e-8, 60.0, "step", UNIFORM_TX, COAXIAL_RX, 1, 150),
+    "uniform-table-l2-mu1": _case(0.08, 2.8e-8, 1.0, "table", UNIFORM_TX, TRIANGLE_RX, 2, 80),
+}
+
+
+def run_case(name, out_dir):
+    """Write the case's config and run `modes` and `simulate` into ``out_dir``."""
+    config, gates = CASES[name]
+    os.makedirs(out_dir, exist_ok=True)
+    cfg_path = os.path.join(out_dir, "config.json")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    for argv in (
+        ["modes", "--config", cfg_path, "--out", out_dir],
+        ["simulate", "--config", cfg_path, "--out", out_dir, "--gates", gates],
+    ):
+        code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"{name}: `{' '.join(argv[:1])}` exited {code}")
+    return os.path.join(out_dir, "modes.json"), os.path.join(out_dir, "simulate.csv")
+
+
+def _read_csv(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    return lines[0], [r[0] for r in rows], np.array([float(r[1]) for r in rows]), [
+        r[2:] for r in rows
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_payloads(name, tmp_path):
+    modes_path, csv_path = run_case(name, str(tmp_path))
+    ref_dir = os.path.join(GOLDEN_DIR, name)
+    with open(modes_path, "rb") as fh, open(os.path.join(ref_dir, "modes.json"), "rb") as ref:
+        assert fh.read() == ref.read(), "modes.json differs from the recorded library"
+    header, times, values, flags = _read_csv(csv_path)
+    ref_header, ref_times, ref_values, ref_flags = _read_csv(
+        os.path.join(ref_dir, "simulate.csv")
+    )
+    assert header == ref_header
+    assert times == ref_times
+    assert flags == ref_flags
+    assert np.all(np.isfinite(values))
+    np.testing.assert_allclose(values, ref_values, rtol=RTOL, atol=0.0)
+
+
+def write_golden():
+    import shutil
+    import tempfile
+
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            modes_path, csv_path = run_case(name, tmp)
+            ref_dir = os.path.join(GOLDEN_DIR, name)
+            os.makedirs(ref_dir, exist_ok=True)
+            shutil.copyfile(modes_path, os.path.join(ref_dir, "modes.json"))
+            shutil.copyfile(csv_path, os.path.join(ref_dir, "simulate.csv"))
+        print(f"wrote {ref_dir}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    write_golden()
