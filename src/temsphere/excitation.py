@@ -140,12 +140,12 @@ class ExcitationCoefficients:
     voltages: np.ndarray
 
 
-def pulse_history_integral(pulse: PulseWaveform, rate_per_s: float) -> float:
-    """Exponentially weighted history integral I_n for one decay rate."""
-    if rate_per_s <= 0:
+def pulse_history_integral(pulse: PulseWaveform, rate_per_s):
+    """Exponentially weighted history integral I_n for one decay rate (or an array)."""
+    lam = np.asarray(rate_per_s, dtype=float)
+    if np.any(lam <= 0):
         raise ParameterError("decay rate must be > 0")
     i0 = pulse.effective_current_a
-    lam = rate_per_s
     if pulse.ramp == "step":
         return i0 / lam
     if pulse.ramp == "linear":
@@ -164,7 +164,7 @@ def pulse_history_integral(pulse: PulseWaveform, rate_per_s: float) -> float:
         e_a, e_b = np.exp(-lam * ua), np.exp(-lam * ub)
         total += c0 * (e_b - e_a) / lam
         total -= slope * ((ub / lam + 1 / lam**2) * e_b - (ua / lam + 1 / lam**2) * e_a)
-    return float(total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def coil_line_integral(mode: Mode, loop: Loop, order: int = 16) -> complex:
     return mode.norm * spherical_bessel_j(mode.l, mode.x) * geom
 
 
-def _uniform_field_amplitude(mode: Mode, target: TargetSpec, mu_b: float, h0: float) -> complex:
+def _uniform_field_amplitude(target: TargetSpec, mu_b: float, h0: float, l, m, x, norm):
     """Static-projection amplitude for uniform axial illumination, l = 1.
 
     Step-off from a dc uniform field H0 z-hat: the amplitude is the
@@ -232,18 +232,17 @@ def _uniform_field_amplitude(mode: Mode, target: TargetSpec, mu_b: float, h0: fl
     A_phi = (B_in/2) r sin(theta) onto the mode, with B_in the uniform
     interior flux density of the magnetized sphere.  The projection is real
     against the real azimuthal basis i X_10; the leading i restores the
-    X_lm phase convention shared with the line integrals.
+    X_lm phase convention shared with the line integrals.  The mode
+    arguments may be arrays; modes other than (l, m) = (1, 0) get 0.
     """
-    if mode.l != 1 or mode.m != 0:
-        return 0.0 + 0.0j
     mu_c = target.material.relative_permeability
     h_in = 3.0 * mu_b * h0 / (mu_c + 2.0 * mu_b)
     b_in = MU_0 * mu_c * h_in
     sigma = target.material.conductivity_s_per_m
     a = target.radius_m
-    radial = spherical_bessel_j(2, mode.x) / mode.x  # int_0^1 j_1(x u) u^3 du
-    w_proj = -MU_0 * sigma * mode.norm * (b_in / 2.0) * np.sqrt(8.0 * np.pi / 3.0) * a**4 * radial
-    return 1j * w_proj
+    radial = spherical_bessel_j(2, x) / x  # int_0^1 j_1(x u) u^3 du
+    w_proj = -MU_0 * sigma * norm * (b_in / 2.0) * np.sqrt(8.0 * np.pi / 3.0) * a**4 * radial
+    return np.where((l == 1) & (m == 0), 1j * w_proj, 0.0)
 
 
 def excitation_amplitude(mode: Mode, pulse: PulseWaveform, tx, target: TargetSpec | None = None, background_mu_r: float = 1.0) -> complex:
@@ -258,7 +257,9 @@ def excitation_amplitude(mode: Mode, pulse: PulseWaveform, tx, target: TargetSpe
     if isinstance(tx, UniformField):
         if target is None:
             raise ParameterError("uniform-field excitation needs the target spec")
-        beta = _uniform_field_amplitude(mode, target, background_mu_r, tx.amplitude_a_per_m)
+        beta = _uniform_field_amplitude(
+            target, background_mu_r, tx.amplitude_a_per_m, mode.l, mode.m, mode.x, mode.norm
+        )
         return beta * mode.decay_rate_per_s * i_n / pulse.effective_current_a
     return MU_0 * i_n * np.conj(coil_line_integral(mode, tx))
 
@@ -266,11 +267,17 @@ def excitation_amplitude(mode: Mode, pulse: PulseWaveform, tx, target: TargetSpe
 def voltage_coefficient(mode: Mode, amplitude: complex, rx: Loop) -> float:
     """Receiver-voltage coefficient V_n = lambda_n N_R A_n oint a_n . dl."""
     val = mode.decay_rate_per_s * rx.windings * amplitude * coil_line_integral(mode, rx)
-    if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
+    return float(_real_voltage(val))
+
+
+def _real_voltage(val):
+    """Real voltage coefficients; an imaginary part means an unpaired +/-m mode."""
+    val = np.asarray(val)
+    if np.any(np.abs(val.imag) > 1e-10 * np.maximum(np.abs(val.real), 1e-300)):
         raise ParameterError(
             "complex voltage coefficient: sum conjugate +/-m mode pairs instead"
         )
-    return float(val.real)
+    return val.real
 
 
 def compute_excitation(
@@ -280,48 +287,47 @@ def compute_excitation(
 
     The stored modes carry the exact m degeneracy of the sphere implicitly;
     for each (l, n) the voltage sums the transmitter/receiver coupling over
-    all m.  For coaxial circular loops only m = 0 survives.
+    all m.  For coaxial circular loops only m = 0 survives.  Geometry is
+    computed once per (l, m); all else is an array expression over modes.
     """
     if not library.modes:
         raise ParameterError("mode library is empty")
+    a = library.target.radius_m
+    ls, xs, norms = _mode_columns(library)
+    rates = library.rates
+    i_n = pulse_history_integral(pulse, rates)
     uniform = isinstance(tx, UniformField)
-    geom: dict = {}
-
-    def geometry_sum(l: int) -> float:
-        if l not in geom:
-            if uniform:
-                geom[l] = None
-            else:
-                total = 0.0
-                for m in range(-l, l + 1):
-                    lt = exterior_multipole_line_integral(l, m, tx, library.target.radius_m)
-                    lr = exterior_multipole_line_integral(l, m, rx, library.target.radius_m)
-                    total += (np.conj(lt) * lr).real
-                geom[l] = total
-        return geom[l]
-
-    i_n = np.array([pulse_history_integral(pulse, m.decay_rate_per_s) for m in library.modes])
-    a_n = np.empty(len(library.modes), dtype=complex)
-    v_n = np.empty(len(library.modes))
-    for k, mode in enumerate(library.modes):
+    shape = np.empty_like(xs)  # N j_l(x): the mode profile on the surface
+    geom0 = np.empty(xs.shape, dtype=complex)  # m = 0 line integral (rx if uniform, else tx)
+    gsum = np.empty_like(xs)  # sum over m of Re(conj(tx_m) rx_m)
+    for l in np.unique(ls).tolist():
+        sel = ls == l
+        shape[sel] = norms[sel] * spherical_bessel_j(l, xs[sel])
         if uniform:
-            a_n[k] = excitation_amplitude(
-                mode, pulse, tx, library.target, library.background_mu_r
-            )
-            v_n[k] = voltage_coefficient(mode, a_n[k], rx)
+            geom0[sel] = exterior_multipole_line_integral(l, 0, rx, a)
         else:
-            a_n[k] = excitation_amplitude(mode, pulse, tx)
-            shape = mode.norm * spherical_bessel_j(mode.l, mode.x)
-            v_n[k] = (
-                mode.decay_rate_per_s
-                * rx.windings
-                * MU_0
-                * i_n[k]
-                * shape
-                * shape
-                * geometry_sum(mode.l)
-            )
+            lt = [exterior_multipole_line_integral(l, m, tx, a) for m in range(-l, l + 1)]
+            lr = [exterior_multipole_line_integral(l, m, rx, a) for m in range(-l, l + 1)]
+            geom0[sel] = lt[l]
+            gsum[sel] = sum((np.conj(t) * r).real for t, r in zip(lt, lr))
+    if uniform:
+        beta = _uniform_field_amplitude(
+            library.target, library.background_mu_r, tx.amplitude_a_per_m, ls, 0, xs, norms
+        )
+        a_n = beta * rates * i_n / pulse.effective_current_a
+        v_n = _real_voltage(rates * rx.windings * a_n * (shape * geom0))
+    else:
+        a_n = MU_0 * i_n * np.conj(shape * geom0)
+        v_n = rates * rx.windings * MU_0 * i_n * shape * shape * gsum
     return ExcitationCoefficients(pulse_integrals=i_n, amplitudes=a_n, voltages=v_n)
+
+
+def _mode_columns(library: ModeLibrary):
+    """Sector degree l, wavenumber x and norm of every mode, as arrays."""
+    ls = np.array([m.l for m in library.modes])
+    xs = np.array([m.x for m in library.modes])
+    norms = np.array([m.norm for m in library.modes])
+    return ls, xs, norms
 
 
 def synthesize_voltage(
@@ -359,12 +365,12 @@ def truncation_bound(library: ModeLibrary, coeffs: ExcitationCoefficients, t) ->
     a = library.target.radius_m
     d_c = diffusivity(library.target.material)
     tau_c = a * a / d_c
+    ls, xs, _ = _mode_columns(library)
     out = np.zeros_like(t)
-    for l in sorted({m.l for m in library.modes}):
-        idx = [k for k, m in enumerate(library.modes) if m.l == l]
-        sector = [library.modes[k] for k in idx]
-        vbar = np.max(np.abs(coeffs.voltages[idx][-max(1, len(idx) // 4):]))
-        x_max = max(m.x for m in sector)
+    for l in np.unique(ls).tolist():
+        volts = coeffs.voltages[ls == l]
+        vbar = np.max(np.abs(volts[-max(1, volts.size // 4):]))
+        x_max = np.max(xs[ls == l])
         u = x_max * np.sqrt(t / tau_c)
         out += 2.0 * vbar * np.sqrt(np.pi) * _erfc(u) / (2.0 * np.pi * np.sqrt(t / tau_c))
     return out

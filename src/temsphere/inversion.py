@@ -52,7 +52,11 @@ class DecayModel:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fit outcome; ``misfit`` is meaningful only when ``converged``."""
+    """Fit outcome; ``misfit`` is meaningful only when ``converged``.
+
+    ``converged`` is False only when no start that L-BFGS-B reports
+    converged reached the selected objective (within 1e-6 relative).
+    """
 
     model: DecayModel
     misfit: float
@@ -154,9 +158,11 @@ def fit_exponentials(
     L-BFGS-B in a log-gap parameterization that keeps them positive and
     strictly increasing.  Multistart: ``restarts`` log-uniform rate ladders
     spanning the data's time window, plus a nested start built from the
-    (k-1)-term fit, all derived deterministically from ``seed``.
-    Non-convergence of every start yields converged=False, never a silent
-    best-so-far.
+    (k-1)-term fit, all derived deterministically from ``seed``.  The fit
+    is converged when a start that L-BFGS-B reports converged reached the
+    selected objective within 1e-6 relative, whichever start that was;
+    non-convergence of every such start yields converged=False, never a
+    silent best-so-far.
     """
     if not 1 <= k <= max_terms:
         raise ParameterError(f"term count must lie in 1..{max_terms}")
@@ -199,11 +205,8 @@ def fit_exponentials(
             for g in (3.0, 10.0):
                 starts.append(_params_from_rates(np.append(prev, prev[-1] * g)))
 
-    best = None
-    for u0 in starts:
-        res = minimize(objective, u0, method="L-BFGS-B")
-        if best is None or res.fun < best.fun:
-            best = res
+    results = [minimize(objective, u0, method="L-BFGS-B") for u0 in starts]
+    best = min(results, key=lambda res: res.fun)
     rates = _rates_from_params(best.x)
     coef, sse, wd = _linear_solve(t, y, w, rates, p_exp, with_power, with_baseline)
     amps = coef[:k]
@@ -234,7 +237,9 @@ def fit_exponentials(
     ill_conditioned = (
         cond > 1e8 or bool(np.any(ratios < 1.1)) or max_rel_sigma > 0.5
     )
-    converged = bool(best.success)
+    converged = any(
+        res.success and abs(res.fun - best.fun) <= 1e-6 * abs(best.fun) for res in results
+    )
     return FitResult(
         model=model,
         misfit=misfit,
@@ -282,7 +287,10 @@ def classify_library(
             denom = float(np.sum(w * w * m * m))
             gain = float(np.sum(w * w * d * m)) / denom if denom > 0 else 0.0
             m = gain * m
-        misfit = float(np.sqrt(np.mean(((m - d) * w) ** 2)))
+        resid = (m - d) * w
+        # scaled before squaring: far candidates overflow the squares otherwise
+        peak = float(np.max(np.abs(resid)))
+        misfit = 0.0 if peak == 0.0 else peak * float(np.sqrt(np.mean((resid / peak) ** 2)))
         results.append((name, misfit))
     if not results:
         raise ParameterError(f"no candidate valid for the data gates: {failures}")

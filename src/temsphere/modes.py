@@ -35,10 +35,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from .core import MU_0, MaterialSpec, ParameterError, TargetSpec, diffusivity
 from .special import (
+    _bessel_zero_ladder,
     _refine_roots,
     spherical_bessel_j,
     spherical_bessel_j_derivative,
-    spherical_bessel_j_zeros,
 )
 
 
@@ -177,25 +177,31 @@ def eigencondition_derivative(l: int, x, mu_ratio: float):
     )
 
 
-def _sector_wavenumbers(l: int, mu_ratio: float, count: int, x_max: float | None):
+def _residual_ok(l: int, x: np.ndarray, mu_ratio: float) -> np.ndarray:
+    """Per root: |F(x)| within 1e-12 (scaled) or within its rounding floor 8 eps x |F'(x)|."""
+    scale = 1.0 + abs(l * (1.0 - mu_ratio)) / np.maximum(x, 1.0)
+    floor = 8.0 * np.finfo(float).eps * x * np.abs(eigencondition_derivative(l, x, mu_ratio))
+    return np.abs(eigencondition(l, x, mu_ratio)) <= np.maximum(1e-12 * scale, floor)
+
+
+def _sector_wavenumbers(l: int, mu_ratio: float, count: int, x_max: float | None, ladder=None):
     """First ``count`` eigen-wavenumbers of sector l.
 
-    Brackets come from the merged zeros of j_(l-1) and j_l: on each open
-    subinterval both Bessel terms keep a fixed sign, so a sign change of the
-    residual at the endpoints brackets exactly one root and none are missed.
+    Brackets come from the merged zeros of j_(l-1) and j_l, sliced from
+    ``ladder`` (`_bessel_zero_ladder` of order >= l; built when omitted): on
+    each open subinterval both Bessel terms keep a fixed sign, so a sign
+    change of the residual at the endpoints brackets exactly one root and
+    none are missed.  Nonmagnetic sectors need zeros of j_(l-1) only.
     """
+    if ladder is None:
+        ladder = _bessel_zero_ladder(l - (mu_ratio == 1.0), count + 2)
     extra = count + 2
+    za = ladder[l - 1]
     if mu_ratio == 1.0:
         # the condition reduces to x j_(l-1)(x) = 0
-        roots = spherical_bessel_j_zeros(l - 1, count) if l > 1 else np.arange(
-            1, count + 1
-        ) * np.pi
+        roots = za[:count]
     else:
-        za = spherical_bessel_j_zeros(l - 1, extra) if l > 1 else np.arange(
-            1, extra + 1
-        ) * np.pi
-        zb = spherical_bessel_j_zeros(l, extra)
-        pts = np.sort(np.concatenate([[1e-9], za, zb]))
+        pts = np.sort(np.concatenate([[1e-9], za[:extra], ladder[l][:extra]]))
         res = eigencondition(l, pts, mu_ratio)
         sign = np.sign(res)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -214,14 +220,12 @@ def _sector_wavenumbers(l: int, mu_ratio: float, count: int, x_max: float | None
         raise TruncationError(
             f"root {roots[-1]:.3f} exceeds configured x_max={x_max:.3f} for l={l}"
         )
-    scale = 1.0 + abs(l * (1.0 - mu_ratio)) / np.maximum(roots, 1.0)
-    bad = np.abs(eigencondition(l, roots, mu_ratio)) > 1e-12 * scale
-    if np.any(bad):
-        raise NumericalError("eigencondition residual above 1e-12 after polishing")
+    if not np.all(_residual_ok(l, roots, mu_ratio)):
+        raise NumericalError("eigencondition residual above its rounding floor after polishing")
     return roots
 
 
-def normalization_constant(target: TargetSpec, l: int, x: float) -> float:
+def normalization_constant(target: TargetSpec, l: int, x) -> np.ndarray | float:
     """Radial normalization N with mu_0 sigma_c N^2 a^3 J(x) = 1.
 
     J(x) = int_0^1 j_l(x u)^2 u^2 du = [j_l(x)^2 - j_(l-1)(x) j_(l+1)(x)] / 2
@@ -241,25 +245,26 @@ def find_decay_rates(
     l: int,
     count: int,
     x_max: float | None = None,
+    *,
+    _ladder: list | None = None,
 ) -> list:
-    """First ``count`` normalized modes of sector l, ascending decay rate."""
+    """First ``count`` normalized modes of sector l, ascending decay rate.
+
+    ``_ladder`` shares one Bessel-zero ladder among `build_mode_library`'s
+    sectors; it saves work and never changes the result.
+    """
     if count < 1:
         raise ParameterError("count must be >= 1")
     mu_ratio = target.material.relative_permeability / background_mu_r
-    xs = _sector_wavenumbers(l, mu_ratio, count, x_max)
+    xs = _sector_wavenumbers(l, mu_ratio, count, x_max, _ladder)
     d_c = diffusivity(target.material)
     a = target.radius_m
+    rates = d_c * xs * xs / (a * a)
+    norms = normalization_constant(target, l, xs)
+    columns = zip(xs.tolist(), rates.tolist(), norms.tolist())
     return [
-        Mode(
-            l=l,
-            m=0,
-            n=i + 1,
-            x=float(x),
-            decay_rate_per_s=float(d_c * x * x / (a * a)),
-            norm=float(normalization_constant(target, l, x)),
-            radius_m=a,
-        )
-        for i, x in enumerate(xs)
+        Mode(l=l, m=0, n=n, x=x, decay_rate_per_s=rate, norm=norm, radius_m=a)
+        for n, (x, rate, norm) in enumerate(columns, start=1)
     ]
 
 
@@ -335,9 +340,11 @@ def build_mode_library(
     The m degeneracy of the sphere is exact; modes are stored once with
     m = 0 and reconstructed per m by the excitation machinery as needed.
     """
+    mu_ratio = target.material.relative_permeability / background_mu_r
+    ladder = _bessel_zero_ladder(max_l - (mu_ratio == 1.0), count_per_l + 2)
     modes = []
     for l in range(1, max_l + 1):
-        modes.extend(find_decay_rates(target, background_mu_r, l, count_per_l))
+        modes.extend(find_decay_rates(target, background_mu_r, l, count_per_l, _ladder=ladder))
     modes.sort(key=lambda m: (m.decay_rate_per_s, m.l, m.n))
     return ModeLibrary(
         target=target,

@@ -29,7 +29,6 @@ from .excitation import (
     UniformField,
     compute_excitation,
     synthesize_voltage,
-    truncation_bound,
 )
 from .modes import ModeLibrary, build_mode_library
 
@@ -120,7 +119,7 @@ def forward_model(
     report = regime_boundaries(library, coeffs, markers, tol=config.regime_tol)
     composite = compose_response(mode_ts, early_ts, report)
     regime_guard = validate_regime(markers, config.regime_tol)
-    quality = _gate_quality(gates, markers, library, coeffs, composite)
+    quality = _gate_quality(gates, markers, mode_ts.metadata["truncation_bound"], composite)
     composite.metadata.update(
         {
             "quality": quality,
@@ -141,13 +140,12 @@ def forward_model(
     )
 
 
-def _gate_quality(gates, markers, library, coeffs, composite) -> np.ndarray:
-    """Per-gate validity flags: 'ok', 'transient' or 'truncated'."""
+def _gate_quality(gates, markers, bound, composite) -> np.ndarray:
+    """Per-gate flags 'ok', 'transient' or 'truncated' (mode-sum tail ``bound``)."""
     elapsed = gates - markers.t0_s
     flags = np.full(gates.shape, "ok", dtype="<U9")
     guard = 10.0 * markers.tau_tr_s
     flags[elapsed < guard] = "transient"
-    bound = truncation_bound(library, coeffs, elapsed)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = bound > 0.01 * np.abs(composite.values)
     flags[bad & (flags == "ok")] = "truncated"

@@ -149,7 +149,8 @@ def spherical_bessel_j_derivative(l: int, x) -> np.ndarray | float:
 
 
 def _refine_roots(f, fprime, lo, hi, iters=80):
-    # Vectorized bisection followed by a few Newton steps.
+    # Vectorized bisection followed by a few Newton steps.  Bisection stops once
+    # a pass leaves every bracket unchanged: each later pass would repeat it.
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     flo = f(lo)
@@ -157,9 +158,12 @@ def _refine_roots(f, fprime, lo, hi, iters=80):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         left = np.sign(fm) == np.sign(flo)
-        lo = np.where(left, mid, lo)
+        new_lo = np.where(left, mid, lo)
+        new_hi = np.where(left, hi, mid)
         flo = np.where(left, fm, flo)
-        hi = np.where(left, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     root = 0.5 * (lo + hi)
     for _ in range(3):
         step = f(root) / fprime(root)
@@ -169,20 +173,26 @@ def _refine_roots(f, fprime, lo, hi, iters=80):
     return root
 
 
-def spherical_bessel_j_zeros(l: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of j_l, by interlacing recursion.
+def _bessel_zero_ladder(max_order: int, count: int) -> list:
+    """Positive zeros of j_0 .. j_max_order, each order refined from the last.
 
-    Zeros of j_0 are exactly n*pi; successive orders interlace, which
-    guarantees every bracket contains exactly one zero.
+    Entry k holds the first ``count + max_order - k`` zeros of j_k.  Zeros
+    of j_0 are exactly n*pi; successive orders interlace, which guarantees
+    every bracket contains exactly one zero.
     """
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    zeros = np.arange(1, count + l + 1) * np.pi
-    for k in range(1, l + 1):
+    ladder = [np.arange(1, count + max_order + 1) * np.pi]
+    for k in range(1, max_order + 1):
         f = lambda x, k=k: spherical_bessel_j(k, x)
         fp = lambda x, k=k: spherical_bessel_j_derivative(k, x)
-        zeros = _refine_roots(f, fp, zeros[:-1], zeros[1:])
-    return zeros[:count]
+        ladder.append(_refine_roots(f, fp, ladder[-1][:-1], ladder[-1][1:]))
+    return ladder
+
+
+def spherical_bessel_j_zeros(l: int, count: int) -> np.ndarray:
+    """First ``count`` positive zeros of j_l, by interlacing recursion."""
+    if count < 1:
+        raise ParameterError("count must be >= 1")
+    return _bessel_zero_ladder(l, count)[l][:count]
 
 
 def erfc(x) -> np.ndarray | float:

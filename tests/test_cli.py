@@ -47,6 +47,17 @@ class TestModesCommand:
         assert result.returncode == 2
         assert "target.radius_m" in result.stderr
 
+    def test_three_thousand_modes_exit_0(self, tmp_path, sample_config_dict):
+        # past the old absolute residual gate, which exited 4 here
+        cfg = json.loads(json.dumps(sample_config_dict))
+        cfg["options"]["max_n"] = 3000
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        result = run_cli("modes", "--config", str(path), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert len(json.loads((out / "modes.json").read_text())["modes"]) == 3000
+
     def test_rerun_byte_identical(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

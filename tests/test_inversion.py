@@ -3,6 +3,7 @@ import pytest
 
 import temsphere as ts
 from temsphere.core import ParameterError
+from temsphere import _io, inversion, pipeline
 from temsphere.inversion import DecayModel
 
 
@@ -113,6 +114,32 @@ class TestFitExponentials:
             ts.fit_exponentials(data, k=6)
 
 
+class TestConvergedFlag:
+    def test_lowest_start_abnormal_still_converged(self, monkeypatch):
+        # seeded one-term fit whose lowest start ends ABNORMAL in the line
+        # search while five other starts converge to the same objective
+        starts = []
+        minimize = inversion.minimize
+
+        def spy(*args, **kwargs):
+            starts.append(minimize(*args, **kwargs))
+            return starts[-1]
+
+        monkeypatch.setattr(inversion, "minimize", spy)
+        rng = np.random.default_rng(0)
+        t = np.geomspace(1e-3, 1.0, 60)
+        rate = float(np.exp(rng.uniform(np.log(3.0), np.log(300.0))))
+        values = 2.0 * np.exp(-rate * t) * (1.0 + 0.01 * rng.standard_normal(t.size))
+        fit = ts.fit_exponentials(ts.TimeSeries(times_s=t, values=values), k=1, seed=0)
+        lowest = min(starts, key=lambda res: res.fun)
+        assert not lowest.success
+        assert sum(
+            res.success and res.fun <= lowest.fun * (1.0 + 1e-6) for res in starts
+        ) >= 1
+        assert fit.converged
+        assert fit.model.rates[0] == pytest.approx(rate, rel=1e-3)
+
+
 class TestClassifyLibrary:
     @staticmethod
     def forward(config, times):
@@ -177,3 +204,39 @@ class TestClassifyLibrary:
         data = ts.TimeSeries(times_s=t, values=np.exp(-t))
         with pytest.raises(ParameterError):
             ts.classify_library(data, [], self.forward)
+
+
+def _candidate(radius, rho, mu_r):
+    name = f"a{radius * 100:g}cm-rho{rho * 1e8:g}e-8-mu{mu_r:g}"
+    return name, _io.parse_config({
+        "target": {"radius_m": radius, "resistivity_ohm_m": rho, "mu_r": mu_r},
+        "background": {"resistivity_ohm_m": 100.0, "mu_r": 1.0},
+        "standoff_m": 0.5,
+        "pulse": {"base_current_a": 1.0, "windings": 1, "ramp": "step", "t0_s": 0.0},
+        "loops": {
+            "transmitter": {"kind": "circular", "radius_m": 0.4, "height_m": 0.3},
+            "receiver": {"kind": "circular", "radius_m": 0.25, "height_m": 0.35},
+        },
+        "options": {"max_l": 1, "max_n": 200},
+    })
+
+
+def test_classify_far_candidates_have_finite_misfits():
+    # the fastest-decaying target planted in an 18-candidate library: its
+    # late gates reach |V| ~ 1e-273, so the relative weights of the other
+    # candidates' residuals are huge and their plain squares overflow
+    candidates = [
+        _candidate(a, rho, mu)
+        for a in (0.03, 0.05, 0.08) for rho in (1.7e-8, 2.8e-8, 7.0e-8) for mu in (1.0, 60.0)
+    ]
+    t = np.geomspace(1e-5, 1.0, 100)
+    planted = dict(candidates)["a3cm-rho7e-8-mu1"]
+    data = ts.TimeSeries(times_s=t, values=noisy(pipeline.forward_values(planted, t), 0.02, 0))
+    with np.errstate(over="raise"):
+        result = ts.classify_library(data, candidates, pipeline.forward_values, noise_rel=0.02)
+    misfits = np.array([m for _, m in result.ranking])
+    assert len(misfits) == 18
+    assert np.all(np.isfinite(misfits))
+    assert np.all(np.diff(misfits) > 0)
+    assert result.best == "a3cm-rho7e-8-mu1"
+    assert misfits[0] == pytest.approx(1.0, abs=0.2)  # at the noise level

@@ -7,7 +7,9 @@ from temsphere.core import MU_0, ParameterError
 from temsphere.modes import (
     NumericalError,
     TruncationError,
+    _residual_ok,
     eigencondition,
+    eigencondition_derivative,
     normalization_constant,
     normalize_mode,
 )
@@ -75,6 +77,25 @@ class TestFindDecayRates:
         tau_c = steel_sphere.radius_m**2 / ts.diffusivity(steel_sphere.material)
         assert all(m.decay_rate_per_s > 0 for m in modes)
         assert 1.0 < modes[0].decay_rate_per_s * tau_c < 30.0
+
+
+class TestModeCountCeiling:
+    @pytest.mark.parametrize("mu_r", [1.0, 60.0])
+    def test_ten_thousand_modes_build_and_gate_stays_sharp(self, mu_r):
+        # an absolute 1e-12 residual gate failed from ~2,700 (mu_r 1) and
+        # ~5,400 (mu_r 60) modes: rounding x alone moves F by ~eps x |F'|
+        target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8, mu_r))
+        lib = ts.build_mode_library(target, 1.0, max_l=1, count_per_l=10_000)
+        xs = np.array([m.x for m in lib.modes])
+        assert xs.size == 10_000
+        assert np.diff(xs)[-1] == pytest.approx(np.pi, abs=1e-3)
+        floor = np.finfo(float).eps * xs * np.abs(eigencondition_derivative(1, xs, mu_r))
+        assert np.max(np.abs(eigencondition(1, xs, mu_r)) / floor) < 1.0  # measured 0.64
+        # the gate still rejects the top root moved by 64 ulp either way
+        top = xs[-1:]
+        assert _residual_ok(1, top, mu_r).all()
+        assert not _residual_ok(1, top + 64 * np.spacing(top), mu_r).any()
+        assert not _residual_ok(1, top - 64 * np.spacing(top), mu_r).any()
 
 
 class TestRadialFdOracle:
