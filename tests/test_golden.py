@@ -1,12 +1,17 @@
-"""Golden outputs: the `modes` and `simulate` payloads of six pinned configs.
+"""Golden outputs: the `modes`, `simulate` and `early` payloads of six pinned configs.
 
 Each case runs the CLI in-process and compares its payloads with files
 recorded under ``tests/golden/<case>/``: ``modes.json`` must be
 byte-identical and ``simulate.csv`` must keep its gates, regime and quality
-columns and match every value at rtol 1e-12.  The cases span coaxial,
-polygon and uniform-field transmitters, step, linear and table pulses,
-max_l 1-4 and mu_r 1 and 60, so a faster spectral core or excitation path
-has to reproduce the physics it replaces.
+columns and match every value at rtol 1e-12.  ``early.json`` must list the
+same harmonics with the same fields, every scalar at rtol 1e-12 and every
+per-harmonic complex coefficient within 1e-12 of the largest magnitude that
+field takes over the harmonics (a purely imaginary coefficient may carry
+rounding noise in its real part); ``early.csv`` and ``early_scan.csv``
+match at rtol 1e-12.  The cases span coaxial, polygon and uniform-field
+transmitters, step, linear and table pulses, max_l 1-4 and mu_r 1 and 60,
+so a faster spectral core, excitation path or early-time layer has to
+reproduce the physics it replaces.
 
 Regenerate the recorded files only for an intended change of results:
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -64,6 +69,12 @@ def _case(radius, rho, mu_r, ramp, tx, rx, max_l, max_n):
     return cfg, gates
 
 
+def _scan(name):
+    """Field-scan point r,theta,phi: off axis, at twice the target radius."""
+    radius = CASES[name][0]["target"]["radius_m"]
+    return f"{2.0 * radius!r},0.7,0.4"
+
+
 CASES = {
     "coaxial-step-l1-mu1": _case(0.05, 2.8e-8, 1.0, "step", COAXIAL_TX, COAXIAL_RX, 1, 450),
     "coaxial-linear-l3-mu60": _case(0.04, 7.0e-8, 60.0, "linear", COAXIAL_TX, COAXIAL_RX, 3, 60),
@@ -74,21 +85,37 @@ CASES = {
 }
 
 
-def run_case(name, out_dir):
-    """Write the case's config and run `modes` and `simulate` into ``out_dir``."""
+def _run(name, out_dir, commands):
+    """Write the case's config and run each CLI ``command`` into ``out_dir``."""
     config, gates = CASES[name]
     os.makedirs(out_dir, exist_ok=True)
     cfg_path = os.path.join(out_dir, "config.json")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(config, fh)
-    for argv in (
-        ["modes", "--config", cfg_path, "--out", out_dir],
-        ["simulate", "--config", cfg_path, "--out", out_dir, "--gates", gates],
-    ):
+    for command in commands:
+        argv = [command, "--config", cfg_path, "--out", out_dir]
+        if command != "modes":
+            argv += ["--gates", gates]
+        if command == "early":
+            argv += ["--scan", _scan(name)]
         code = cli.main(argv)
         if code != 0:
-            raise RuntimeError(f"{name}: `{' '.join(argv[:1])}` exited {code}")
+            raise RuntimeError(f"{name}: `{command}` exited {code}")
+
+
+def run_case(name, out_dir):
+    """Run `modes` and `simulate`; return the paths of their payloads."""
+    _run(name, out_dir, ("modes", "simulate"))
     return os.path.join(out_dir, "modes.json"), os.path.join(out_dir, "simulate.csv")
+
+
+EARLY_FILES = ("early.json", "early.csv", "early_scan.csv")
+
+
+def run_early_case(name, out_dir):
+    """Run `early` with gates and a field scan; return its payload paths."""
+    _run(name, out_dir, ("early",))
+    return [os.path.join(out_dir, f) for f in EARLY_FILES]
 
 
 def _read_csv(path):
@@ -117,6 +144,50 @@ def test_golden_payloads(name, tmp_path):
     np.testing.assert_allclose(values, ref_values, rtol=RTOL, atol=0.0)
 
 
+def _assert_early_report(got, ref):
+    assert sorted(got) == sorted(ref)
+    for key in ("amplitude_v_sqrt_s", "t_ref_s", "window_s"):
+        np.testing.assert_allclose(got[key], ref[key], rtol=RTOL, atol=0.0)
+    assert list(got["harmonics"]) == list(ref["harmonics"]), "harmonic keys differ"
+    fields = sorted(next(iter(ref["harmonics"].values())))
+    for h in ref["harmonics"]:
+        assert sorted(got["harmonics"][h]) == fields
+    for f in fields:
+        want = np.array([complex(*ref["harmonics"][h][f]) for h in ref["harmonics"]])
+        have = np.array([complex(*got["harmonics"][h][f]) for h in ref["harmonics"]])
+        scale = np.max(np.abs(want))
+        assert np.all(np.abs(have - want) <= RTOL * scale), f"early.json field {f} differs"
+
+
+def _read_table(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    numeric = [[c for c in r if c not in ("ok", "transient", "late")] for r in rows]
+    flags = [[c for c in r if c in ("ok", "transient", "late")] for r in rows]
+    return lines[0], np.array(numeric, dtype=float), flags
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_early_payloads(name, tmp_path):
+    report_path, csv_path, scan_path = run_early_case(name, str(tmp_path))
+    ref_dir = os.path.join(GOLDEN_DIR, name)
+    with open(report_path, "r", encoding="utf-8") as fh, open(
+        os.path.join(ref_dir, "early.json"), "r", encoding="utf-8"
+    ) as ref:
+        _assert_early_report(json.load(fh), json.load(ref))
+    for path in (csv_path, scan_path):
+        header, values, flags = _read_table(path)
+        ref_header, ref_values, ref_flags = _read_table(
+            os.path.join(ref_dir, os.path.basename(path))
+        )
+        assert header == ref_header
+        assert flags == ref_flags
+        assert values.shape == ref_values.shape
+        assert np.all(np.isfinite(values))
+        np.testing.assert_allclose(values, ref_values, rtol=RTOL, atol=0.0)
+
+
 def write_golden():
     import shutil
     import tempfile
@@ -128,6 +199,8 @@ def write_golden():
             os.makedirs(ref_dir, exist_ok=True)
             shutil.copyfile(modes_path, os.path.join(ref_dir, "modes.json"))
             shutil.copyfile(csv_path, os.path.join(ref_dir, "simulate.csv"))
+            for path in run_early_case(name, tmp):
+                shutil.copyfile(path, os.path.join(ref_dir, os.path.basename(path)))
         print(f"wrote {ref_dir}")
 
 
