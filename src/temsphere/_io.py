@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -55,9 +56,32 @@ def _number(d: dict, path: str, positive=False, required=True, default=None):
         return default
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(path, "must be a number")
+    try:
+        val = float(val)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConfigError(path, "must be finite")
     if positive and val <= 0:
         raise ConfigError(path, "must be > 0")
-    return float(val)
+    return val
+
+
+# inclusive limits of the integer options, shared with the CLI overrides
+OPTION_RANGES = {"max_l": (1, 12), "max_n": (1, math.inf)}
+
+
+def check_integer(path: str, val, lo: int, hi: float = math.inf) -> int:
+    """Return ``val`` if it is an integer in lo..hi, else raise ConfigError."""
+    if not isinstance(val, int) or isinstance(val, bool):
+        raise ConfigError(path, "must be an integer")
+    if not lo <= val <= hi:
+        raise ConfigError(path, f"must lie in {lo}..{hi}")
+    return val
+
+
+def _integer(d: dict, path: str, lo: int, hi: float, default: int) -> int:
+    return check_integer(path, _get(d, path, required=False, default=default), lo, hi)
 
 
 def _material(d: dict, prefix: str) -> MaterialSpec:
@@ -75,7 +99,7 @@ def _loop(d: dict, prefix: str) -> Loop:
             kind="circular",
             radius_m=_number(d, f"{prefix}.radius_m", positive=True),
             height_m=_number(d, f"{prefix}.height_m", required=False, default=0.0),
-            windings=int(_number(d, f"{prefix}.windings", required=False, default=1)),
+            windings=_integer(d, f"{prefix}.windings", 1, math.inf, 1),
         )
     if kind == "polygon":
         verts = _get(d, f"{prefix}.vertices_m")
@@ -86,7 +110,7 @@ def _loop(d: dict, prefix: str) -> Loop:
         return Loop(
             kind="polygon",
             vertices=vertices,
-            windings=int(_number(d, f"{prefix}.windings", required=False, default=1)),
+            windings=_integer(d, f"{prefix}.windings", 1, math.inf, 1),
         )
     raise ConfigError(f"{prefix}.kind", f"unknown loop kind {kind!r}")
 
@@ -109,7 +133,7 @@ def parse_config(data: dict) -> RunConfig:
     try:
         pulse = PulseWaveform(
             base_current_a=_number(data, "pulse.base_current_a", positive=True),
-            windings=int(_number(data, "pulse.windings", required=False, default=1)),
+            windings=_integer(data, "pulse.windings", 1, math.inf, 1),
             ramp=ramp,
             tau_r_s=_number(data, "pulse.tau_r_s", required=False, default=0.0),
             t0_s=_number(data, "pulse.t0_s", required=False, default=0.0),
@@ -127,14 +151,11 @@ def parse_config(data: dict) -> RunConfig:
     else:
         tx = _loop(data, "loops.transmitter")
     rx = _loop(data, "loops.receiver")
-    options = data.get("options", {})
-    max_l = int(_number(data, "options.max_l", required=False, default=1.0) or 1)
-    max_n = int(_number(data, "options.max_n", required=False, default=500.0) or 500)
-    if not 1 <= max_l <= 12:
-        raise ConfigError("options.max_l", "must lie in 1..12")
-    if max_n < 1:
-        raise ConfigError("options.max_n", "must be >= 1")
-    collapse = bool(options.get("collapse_transient", True))
+    max_l = _integer(data, "options.max_l", *OPTION_RANGES["max_l"], default=1)
+    max_n = _integer(data, "options.max_n", *OPTION_RANGES["max_n"], default=500)
+    collapse = _get(data, "options.collapse_transient", required=False, default=True)
+    if not isinstance(collapse, bool):
+        raise ConfigError("options.collapse_transient", "must be true or false")
     regime_tol = _number(data, "options.regime_tol", required=False, default=1e-2)
     return RunConfig(
         target=target,

@@ -16,9 +16,11 @@ import numpy as np
 
 from . import __version__
 from ._io import (
+    OPTION_RANGES,
     ConfigError,
     DataError,
     build_manifest,
+    check_integer,
     file_digest,
     load_config,
     read_timeseries_csv,
@@ -26,11 +28,10 @@ from ._io import (
     write_timeseries_csv,
 )
 from .core import ParameterError, scales_for
-from .earlytime import early_signal, run_early_pipeline, surface_current_closed_form
-from .excitation import Loop
+from .earlytime import early_voltage, surface_current_closed_form
 from .inversion import DecayModel, classify_library, fit_exponentials, fit_power_law
 from .modes import NumericalError, TruncationError
-from .pipeline import build_library, forward_model, forward_values, markers_for
+from .pipeline import build_library, early_response, forward_model, forward_values, markers_for
 
 
 def _parse_gates(spec: str) -> np.ndarray:
@@ -44,13 +45,24 @@ def _parse_gates(spec: str) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
+def _parse_window(spec: str) -> tuple:
+    try:
+        lo, hi = (float(x) for x in spec.split(","))
+    except ValueError:
+        raise ConfigError("--window", "expected tlo,thi")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConfigError("--window", "need finite tlo < thi")
+    return lo, hi
+
+
 def _apply_overrides(config, args):
     from dataclasses import replace
 
-    if getattr(args, "max_l", None):
-        config = replace(config, max_l=args.max_l)
-    if getattr(args, "max_n", None):
-        config = replace(config, max_n=args.max_n)
+    for name, flag in (("max_l", "--max-l"), ("max_n", "--max-n")):
+        value = getattr(args, name, None)
+        if value is not None:
+            value = check_integer(flag, value, *OPTION_RANGES[name])
+            config = replace(config, **{name: value})
     return config
 
 
@@ -102,22 +114,7 @@ def cmd_early(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     markers = markers_for(config)
     scales = scales_for(config.target)
-    source_current = (
-        config.pulse.effective_current_a
-        if isinstance(config.transmitter, Loop)
-        else 1.0
-    )
-    pipeline = run_early_pipeline(
-        config.target,
-        config.environment.background.relative_permeability,
-        config.transmitter,
-        config.max_l,
-        scales=scales,
-        source_current_a=source_current,
-    )
-    signal = early_signal(pipeline, config.receiver, markers, scales, config.target)
-    mu_c = pipeline.mu_c
-    mu_b = pipeline.mu_b
+    pipeline, signal = early_response(config, markers)
     report = {
         "amplitude_v_sqrt_s": signal.amplitude_v_sqrt_s,
         "t_ref_s": signal.t_ref_s,
@@ -132,7 +129,7 @@ def cmd_early(args) -> int:
             "post_quench_exterior": _c2l(pipeline.phi0.decaying.get((l, m), 0.0)),
             "surface_current": _c2l(pipeline.current.coeffs.get((l, m), 0.0)),
             "surface_current_unit_closed_form": _c2l(
-                surface_current_closed_form(l, mu_c, mu_b)
+                surface_current_closed_form(l, pipeline.mu_c, pipeline.mu_b)
             ),
             "potential_prefactor_per_sqrt": _c2l(
                 pipeline.dphi_prefactor.decaying[(l, m)]
@@ -146,8 +143,6 @@ def cmd_early(args) -> int:
     outputs = {"early.json": file_digest(out_json)}
     if args.gates:
         gates = _parse_gates(args.gates)
-        from .earlytime import early_voltage
-
         series = early_voltage(
             pipeline, config.receiver, gates, markers, scales, config.target
         )
@@ -207,6 +202,7 @@ def _write_field_scan(path, scan_spec, pipeline, markers, scales, config, gates)
 
 
 def cmd_fit(args) -> int:
+    window = _parse_window(args.window) if args.window else None
     data = read_timeseries_csv(args.data)
     init = None
     if args.power:
@@ -226,9 +222,8 @@ def cmd_fit(args) -> int:
         "diagnostics": result.diagnostics,
         "inputs": {"data": file_digest(args.data)},
     }
-    if args.window:
-        lo, hi = (float(x) for x in args.window.split(","))
-        plaw = fit_power_law(data, (lo, hi))
+    if window:
+        plaw = fit_power_law(data, window)
         report["power_law_window"] = {
             "amplitude": plaw.amplitude,
             "exponent": plaw.exponent,

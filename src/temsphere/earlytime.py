@@ -28,14 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erfc
 
 from .core import ParameterError, ScaleSystem, TargetSpec, TimeMarkers, scales_for
 from .excitation import Loop, TimeSeries, UniformField, exterior_multipole_line_integral
 from .special import (
-    AngularGrid,
     angular_grid,
-    erfc,
-    project_tangential,
+    project_scalar,
     spherical_harmonic,
     spherical_harmonic_dtheta,
     vector_spherical_harmonic,
@@ -55,10 +54,6 @@ class PotentialExpansion:
     interior: dict = field(default_factory=dict)
     growing: dict = field(default_factory=dict)
     decaying: dict = field(default_factory=dict)
-
-    def harmonics(self) -> list:
-        keys = set(self.interior) | set(self.growing) | set(self.decaying)
-        return sorted(keys)
 
 
 @dataclass
@@ -173,7 +168,6 @@ def illumination_coefficients(
     max_l: int,
     scales: ScaleSystem | None = None,
     source_current_a: float = 1.0,
-    grid: AngularGrid | None = None,
 ) -> PotentialExpansion:
     """Expansion of the transmitter's static potential about the target center.
 
@@ -200,25 +194,19 @@ def illumination_coefficients(
         return exp
     # polygonal: project n.H on the target surface; H_r = -dPhi/dr gives
     # d_lm = -(a/l) <Y_lm, H_r> at r = a
-    if grid is None:
-        grid = angular_grid(max(2 * max_l + 8, 24), max(2 * max_l + 8, 32))
+    grid = angular_grid(max(2 * max_l + 8, 24), max(2 * max_l + 8, 32))
     a = target.radius_m
-    pts = a * np.stack(
-        [
-            np.sin(grid.theta) * np.cos(grid.phi),
-            np.sin(grid.theta) * np.sin(grid.phi),
-            np.cos(grid.theta),
-        ],
-        axis=1,
+    sin_th = np.sin(grid.theta)
+    rhat = np.stack(
+        [sin_th * np.cos(grid.phi), sin_th * np.sin(grid.phi), np.cos(grid.theta)], axis=1
     )
-    hvec = _segment_h_field(source.vertices, source_current_a, pts)
-    rhat = pts / a
+    hvec = _segment_h_field(source.vertices, source_current_a, a * rhat)
     hr = np.einsum("ij,ij->i", hvec, rhat)
-    for l in range(1, max_l + 1):
-        for m in range(-l, l + 1):
-            y = spherical_harmonic(l, m, grid.theta, grid.phi)
-            coeff = np.sum(grid.weights * np.conj(y) * hr)
-            exp.growing[(l, m)] = complex(-(a / l) * coeff / pot_scale)
+    exp.growing = {
+        (l, m): complex(-(a / l) * coeff / pot_scale)
+        for (l, m), coeff in project_scalar(hr, grid, max_l).items()
+        if l >= 1
+    }
     return exp
 
 
@@ -276,38 +264,21 @@ def solve_exterior_neumann(
 
 
 def surface_current(
-    phi0: PotentialExpansion,
-    static: PotentialExpansion,
-    max_l: int,
-    grid: AngularGrid | None = None,
+    phi0: PotentialExpansion, static: PotentialExpansion, max_l: int
 ) -> SurfaceCurrentSpectrum:
-    """Surface current K = -n x (grad Phi_0 + H_c), projected onto X_lm.
+    """Surface current K = -n x (grad Phi_0 + H_c) in X_lm, for 1 <= l <= max_l.
 
-    The tangential mismatch between the relaxed exterior potential and the
-    frozen interior field is evaluated pointwise on a quadrature grid and
-    expanded in vector harmonics; this spectral path is validated against
-    the closed-form coefficient of `surface_current_closed_form`.
+    At r = a the tangential mismatch of the relaxed exterior potential c_lm
+    and the frozen interior potential b_lm is (c_lm - b_lm) grad_s Y_lm, and
+    n x grad_s Y_lm = i sqrt(l(l+1)) X_lm, so K_lm = i sqrt(l(l+1)) (b_lm - c_lm).
+    Harmonics below 1e-12 of the largest |K_lm| are dropped; the rest are
+    returned in sorted (l, m) order.
     """
-    if grid is None:
-        grid = angular_grid(max(2 * max_l + 8, 24), max(2 * max_l + 8, 32))
-    vth = np.zeros(grid.size, dtype=complex)
-    vph = np.zeros(grid.size, dtype=complex)
-    for (l, m), c in phi0.decaying.items():
-        dy = spherical_harmonic_dtheta(l, m, grid.theta, grid.phi)
-        y = spherical_harmonic(l, m, grid.theta, grid.phi)
-        vth += c * dy
-        if m != 0:
-            vph += c * 1j * m * y / np.sin(grid.theta)
-    for (l, m), b in static.interior.items():
-        dy = spherical_harmonic_dtheta(l, m, grid.theta, grid.phi)
-        y = spherical_harmonic(l, m, grid.theta, grid.phi)
-        vth -= b * dy
-        if m != 0:
-            vph -= b * 1j * m * y / np.sin(grid.theta)
-    # K = -n x v: (v_theta e_theta + v_phi e_phi) -> K_theta = v_phi, K_phi = -v_theta
-    kth, kph = vph, -vth
-    coeffs = project_tangential(kth, kph, grid, max_l)
-    # drop quadrature noise so absent harmonics stay exactly absent
+    coeffs = {}
+    for l, m in sorted(set(static.interior) | set(phi0.decaying)):
+        if 1 <= l <= max_l:
+            b, c = static.interior.get((l, m), 0.0), phi0.decaying.get((l, m), 0.0)
+            coeffs[(l, m)] = 1j * np.sqrt(l * (l + 1.0)) * (b - c)
     top = max((abs(c) for c in coeffs.values()), default=0.0)
     coeffs = {lm: c for lm, c in coeffs.items() if abs(c) > 1e-12 * top}
     return SurfaceCurrentSpectrum(coeffs=coeffs)
@@ -410,16 +381,10 @@ def exterior_potential_correction(
 
     Reuses the sphere's diagonal Neumann solve: with n . Delta_B = b_lm Y_lm
     at r = a and Delta_B = -mu_b grad(Delta_Phi) outside (internal units),
-    the decaying coefficient is b_lm / (mu_b (l+1)).
+    the decaying coefficient is b_lm / (mu_b (l+1)), which is
+    `solve_exterior_neumann` with mu_c = 1.
     """
-    out = PotentialExpansion()
-    for (l, m), b in bdata.coeffs.items():
-        if l == 0:
-            if abs(b) > 0:
-                raise ParameterError("monopole normal-flux data is unphysical")
-            continue
-        out.decaying[(l, m)] = b / (mu_b * (l + 1))
-    return out
+    return solve_exterior_neumann(bdata, 1.0, mu_b)
 
 
 def potential_decay_prefactor(l: int, mu_c: float, mu_b: float) -> float:
@@ -529,17 +494,16 @@ def run_early_pipeline(
     max_l: int,
     scales: ScaleSystem | None = None,
     source_current_a: float = 1.0,
-    grid: AngularGrid | None = None,
 ) -> EarlyPipeline:
     """Run illumination -> static response -> quench -> sheet -> correction."""
     mu_c = target.material.relative_permeability
     mu_b = background_mu_r
     ill = illumination_coefficients(
-        source, target, max_l, scales=scales, source_current_a=source_current_a, grid=grid
+        source, target, max_l, scales=scales, source_current_a=source_current_a
     )
     static = static_sphere_response(ill, mu_c, mu_b)
     phi0 = solve_exterior_neumann(interior_normal_h(static), mu_c, mu_b)
-    current = surface_current(phi0, static, max_l, grid=grid)
+    current = surface_current(phi0, static, max_l)
     bdata = normal_field_change(current, 1.0, mu_c)  # per unit sqrt(elapsed)
     dphi1 = exterior_potential_correction(bdata, mu_b)
     return EarlyPipeline(

@@ -28,7 +28,7 @@ formula needs no further constants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -150,9 +150,9 @@ class ModeLibrary:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        from ._io import atomic_write_text
+
+        atomic_write_text(path, json.dumps(self.to_dict(), indent=1) + "\n")
 
     @classmethod
     def load(cls, path) -> "ModeLibrary":
@@ -266,11 +266,6 @@ def find_decay_rates(
         Mode(l=l, m=0, n=n, x=x, decay_rate_per_s=rate, norm=norm, radius_m=a)
         for n, (x, rate, norm) in enumerate(columns, start=1)
     ]
-
-
-def normalize_mode(mode: Mode, target: TargetSpec) -> Mode:
-    """Return the mode with its normalization constant recomputed."""
-    return replace(mode, norm=float(normalization_constant(target, mode.l, mode.x)))
 
 
 def radial_profile(mode: Mode, r) -> np.ndarray | float:

@@ -20,7 +20,7 @@ from .core import (
     scales_for,
     validate_regime,
 )
-from .earlytime import EarlyPipeline, early_signal, run_early_pipeline
+from .earlytime import EarlyPipeline, EarlySignal, early_signal, run_early_pipeline
 from .excitation import (
     ExcitationCoefficients,
     Loop,
@@ -84,6 +84,20 @@ def build_library(config: RunConfig) -> ModeLibrary:
     )
 
 
+def early_response(
+    config: RunConfig, markers: TimeMarkers
+) -> tuple[EarlyPipeline, EarlySignal]:
+    """Early-time pipeline and its receiver signal for one scenario."""
+    scales = scales_for(config.target)
+    tx = config.transmitter
+    current = config.pulse.effective_current_a if isinstance(tx, Loop) else 1.0
+    mu_b = config.environment.background.relative_permeability
+    early = run_early_pipeline(
+        config.target, mu_b, tx, config.max_l, scales=scales, source_current_a=current
+    )
+    return early, early_signal(early, config.receiver, markers, scales, config.target)
+
+
 def forward_model(
     config: RunConfig, gates_s, library: ModeLibrary | None = None
 ) -> ForwardResult:
@@ -97,21 +111,7 @@ def forward_model(
     gates = np.asarray(gates_s, dtype=float)
     mode_ts = synthesize_voltage(library, coeffs, gates - markers.t0_s)
     mode_ts.times_s = gates
-    scales = scales_for(config.target)
-    source_current = (
-        config.pulse.effective_current_a
-        if isinstance(config.transmitter, Loop)
-        else 1.0
-    )
-    early = run_early_pipeline(
-        config.target,
-        config.environment.background.relative_permeability,
-        config.transmitter,
-        config.max_l,
-        scales=scales,
-        source_current_a=source_current,
-    )
-    signal = early_signal(early, config.receiver, markers, scales, config.target)
+    early, signal = early_response(config, markers)
     early_vals = signal.evaluate(gates)
     early_ts = TimeSeries(
         times_s=gates, values=early_vals, metadata={"kind": "early_time", "signal": signal}

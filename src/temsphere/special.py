@@ -25,35 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc as _erfc
 
 from .core import ParameterError
-
-
-@dataclass(frozen=True)
-class HarmonicIndex:
-    """Degree/order pair (l, m) with |m| <= l."""
-
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if self.l < 0 or abs(self.m) > self.l:
-            raise ParameterError("harmonic index requires l >= 0 and |m| <= l")
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Point on the sphere, theta in [0, pi], phi in [0, 2*pi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise ParameterError("theta out of range [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise ParameterError("phi out of range [0, 2*pi)")
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +168,6 @@ def spherical_bessel_j_zeros(l: int, count: int) -> np.ndarray:
     return _bessel_zero_ladder(l, count)[l][:count]
 
 
-def erfc(x) -> np.ndarray | float:
-    """Complementary error function, erfc(x) = (2/sqrt(pi)) int_x^inf e^(-s^2) ds."""
-    return _erfc(x)
-
-
 # ---------------------------------------------------------------------------
 # spherical harmonics
 
@@ -308,21 +276,4 @@ def project_scalar(values: np.ndarray, grid: AngularGrid, max_l: int) -> dict:
         for m in range(-l, l + 1):
             y = spherical_harmonic(l, m, grid.theta, grid.phi)
             out[(l, m)] = complex(np.sum(grid.weights * np.conj(y) * values))
-    return out
-
-
-def project_tangential(
-    v_theta: np.ndarray, v_phi: np.ndarray, grid: AngularGrid, max_l: int
-) -> dict:
-    """X_lm coefficients of a tangential vector field sampled on ``grid``."""
-    out = {}
-    for l in range(1, max_l + 1):
-        for m in range(-l, l + 1):
-            x = vector_spherical_harmonic(l, m, grid.theta, grid.phi)
-            out[(l, m)] = complex(
-                np.sum(
-                    grid.weights
-                    * (np.conj(x[1]) * v_theta + np.conj(x[2]) * v_phi)
-                )
-            )
     return out

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from temsphere import cli
 from temsphere._io import read_timeseries_csv
 
 
@@ -67,6 +68,64 @@ class TestModesCommand:
             )
             assert result.returncode == 0
         assert (out1 / "modes.json").read_bytes() == (out2 / "modes.json").read_bytes()
+
+
+class TestArgumentChecks:
+    """Bad flags and config scalars exit 2 and name the flag or schema path."""
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-l", "0"), ("--max-l", "13"), ("--max-n", "0")]
+    )
+    def test_option_override_out_of_range(self, tmp_path, config_path, capsys, flag, value):
+        code = cli.main(
+            ["modes", "--config", str(config_path), "--out", str(tmp_path / "o"), flag, value]
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_option_overrides_applied(self, tmp_path, config_path):
+        out = tmp_path / "o"
+        code = cli.main(
+            ["modes", "--config", str(config_path), "--out", str(out),
+             "--max-l", "2", "--max-n", "3"]
+        )
+        assert code == 0
+        lib = json.loads((out / "modes.json").read_text())
+        assert (lib["max_l"], lib["max_n"], len(lib["modes"])) == (2, 3, 2 * 3)
+
+    @pytest.mark.parametrize("window", ["1e-5", "a,b", "1e-3,1e-4", "nan,1"])
+    def test_fit_bad_window(self, tmp_path, capsys, window):
+        data = tmp_path / "data.csv"
+        data.write_text("t_s,value\n1e-3,1.0\n2e-3,0.5\n")
+        code = cli.main(
+            ["fit", "--data", str(data), "--out", str(tmp_path / "o"), "--window", window]
+        )
+        assert code == 2
+        assert "--window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("options", "max_l", 0),
+            ("options", "max_n", 0),
+            ("options", "max_l", 2.7),
+            ("receiver", "windings", 1.7),
+            ("options", "collapse_transient", "no"),
+            ("target", "radius_m", float("nan")),
+        ],
+    )
+    def test_bad_config_scalar_exit_2(
+        self, tmp_path, sample_config_dict, capsys, section, key, value
+    ):
+        cfg = json.loads(json.dumps(sample_config_dict))
+        node = cfg["loops"]["receiver"] if section == "receiver" else cfg[section]
+        node[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))  # NaN is written as the JSON token NaN
+        code = cli.main(["modes", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        where = "loops.receiver" if section == "receiver" else section
+        assert f"{where}.{key}" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -165,6 +165,47 @@ class TestSurfaceCurrent:
                 expected = surface_current_closed_form(l, mu_c, mu_b)
                 assert current.coeffs[(l, m)] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("mu_pair", [(1.0, 1.0), (60.0, 1.0)])
+    def test_pointwise_tangential_mismatch(self, mu_pair):
+        # -n x (grad Phi0 + H_c) on the surface equals sum K_lm X_lm
+        mu_c, mu_b = mu_pair
+        static = ts.PotentialExpansion(
+            interior={(1, 0): 0.8, (1, -1): 0.3 + 0.1j, (2, 1): 0.5 - 0.2j,
+                      (3, -2): 0.1j, (4, 3): -0.25}
+        )
+        phi0 = ts.solve_exterior_neumann(interior_normal_h(static), mu_c, mu_b)
+        current = ts.surface_current(phi0, static, max_l=4)
+        assert list(current.coeffs) == sorted(static.interior)
+        grid = angular_grid(12, 16)
+        th, ph = grid.theta, grid.phi
+        vth = np.zeros(grid.size, dtype=complex)
+        vph = np.zeros(grid.size, dtype=complex)
+        for (l, m), b in static.interior.items():
+            # grad Phi0 + H_c = grad(Phi0 - Phi_c), tangential part at r = a
+            diff = phi0.decaying[(l, m)] - b
+            vth += diff * spherical_harmonic_dtheta(l, m, th, ph)
+            vph += diff * 1j * m * spherical_harmonic(l, m, th, ph) / np.sin(th)
+        # -n x (v_theta e_theta + v_phi e_phi) = v_phi e_theta - v_theta e_phi
+        kth, kph = vph, -vth
+        sth = np.zeros(grid.size, dtype=complex)
+        sph = np.zeros(grid.size, dtype=complex)
+        for (l, m), k in current.coeffs.items():
+            x = vector_spherical_harmonic(l, m, th, ph)
+            sth += k * x[1]
+            sph += k * x[2]
+        scale = max(np.max(np.abs(kth)), np.max(np.abs(kph)))
+        assert np.max(np.abs(sth - kth)) < 1e-12 * scale
+        assert np.max(np.abs(sph - kph)) < 1e-12 * scale
+
+    def test_degree_cut_and_absent_harmonics(self):
+        # l = 0 carries no current, K = 0 is dropped and l > max_l is cut
+        static = ts.PotentialExpansion(
+            interior={(0, 0): 2.0, (1, 0): 1.0, (2, 0): 0.25, (3, 2): 0.5}
+        )
+        phi0 = ts.PotentialExpansion(decaying={(1, 0): -0.5, (2, 0): 0.25, (3, 2): -0.375})
+        assert list(ts.surface_current(phi0, static, max_l=2).coeffs) == [(1, 0)]
+        assert list(ts.surface_current(phi0, static, max_l=3).coeffs) == [(1, 0), (3, 2)]
+
     def test_printed_magnitude_nonmagnetic_dipole(self):
         value = surface_current_closed_form(1, 1.0, 1.0)
         assert abs(value) == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import temsphere as ts
 from temsphere._io import (
@@ -66,6 +69,82 @@ class TestConfigParsing:
         cfg["options"]["max_l"] = 30
         with pytest.raises(ConfigError, match="options.max_l"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("options.max_l", 0),
+            ("options.max_n", 0),
+            ("options.max_l", 2.7),
+            ("loops.receiver.windings", 1.7),
+            ("pulse.windings", 2.0),
+            ("options.collapse_transient", "no"),
+            ("target.radius_m", float("nan")),
+            ("target.radius_m", float("inf")),
+            ("target.radius_m", 10**400),
+        ],
+        ids=["max_l-0", "max_n-0", "max_l-2.7", "rx-windings-1.7", "pulse-windings-2.0",
+             "collapse-no", "radius-nan", "radius-inf", "radius-10^400"],
+    )
+    def test_bad_scalar_names_path(self, sample_config_dict, path, value):
+        # each of these used to be coerced (0 -> default, 2.7 -> 2, "no" -> True)
+        # or accepted (NaN) without an error
+        with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+            parse_config(with_value(sample_config_dict, path, value))
+
+    def test_strict_scalars_kept(self, sample_config_dict):
+        cfg = with_value(sample_config_dict, "options.max_l", 12)
+        cfg = with_value(cfg, "options.collapse_transient", False)
+        cfg = with_value(cfg, "loops.receiver.windings", 3)
+        config = parse_config(cfg)
+        assert (config.max_l, config.collapse_transient, config.receiver.windings) == (
+            12, False, 3)
+
+
+def with_value(config: dict, path: str, value) -> dict:
+    """Deep copy of ``config`` with the dotted ``path`` set to ``value``."""
+    out = json.loads(json.dumps(config))
+    node = out
+    *parents, leaf = path.split(".")
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return out
+
+
+JSON_SCALARS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+# dotted config path -> what parse_config keeps of it
+KEPT = {
+    "options.max_l": lambda c: c.max_l,
+    "options.max_n": lambda c: c.max_n,
+    "pulse.windings": lambda c: c.pulse.windings,
+    "loops.transmitter.windings": lambda c: c.transmitter.windings,
+    "loops.receiver.windings": lambda c: c.receiver.windings,
+    "target.radius_m": lambda c: c.target.radius_m,
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(path=st.sampled_from(sorted(KEPT)), value=JSON_SCALARS)
+def test_scalar_kept_exactly_or_rejected_by_path(sample_config_dict, path, value):
+    try:
+        config = parse_config(with_value(sample_config_dict, path, value))
+    except ConfigError as exc:
+        assert exc.path == path
+        return
+    kept = KEPT[path](config)
+    if path == "target.radius_m":
+        # JSON numbers are doubles: the radius is kept as the float of the input
+        assert not isinstance(value, bool) and math.isfinite(kept) and kept == float(value)
+    else:
+        assert type(kept) is int and type(value) is int and kept == value
 
 
 class TestCsv:

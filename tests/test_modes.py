@@ -11,7 +11,6 @@ from temsphere.modes import (
     eigencondition,
     eigencondition_derivative,
     normalization_constant,
-    normalize_mode,
 )
 from temsphere.special import spherical_bessel_j
 
@@ -184,11 +183,6 @@ class TestProfilesAndNormalization:
             * mode.norm**2
         )
         assert val == pytest.approx(closed, rel=1e-10)
-
-    def test_normalize_idempotent(self, aluminum_sphere):
-        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1)[0]
-        again = normalize_mode(mode, aluminum_sphere)
-        assert again.norm == pytest.approx(mode.norm, rel=1e-12)
 
     def test_norm_scales_with_conductivity(self, aluminum):
         t1 = ts.TargetSpec(0.05, aluminum)

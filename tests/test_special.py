@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import spherical_jn
 
 from temsphere.core import ParameterError
 from temsphere.special import (
-    HarmonicIndex,
-    SurfacePoint,
     angular_grid,
-    erfc,
     project_scalar,
-    project_tangential,
     spherical_bessel_j,
     spherical_bessel_j_zeros,
     spherical_harmonic,
@@ -64,22 +59,6 @@ class TestSphericalBessel:
             spherical_bessel_j(-1, 1.0)
         with pytest.raises(ParameterError):
             spherical_bessel_j(1, -1.0)
-
-
-class TestErfc:
-    def test_anchor_values(self):
-        assert erfc(0.0) == 1.0
-        assert erfc(28.0) == 0.0  # underflows
-
-    def test_against_defining_integral(self):
-        for x in (0.25, 1.0, 2.0, 4.0, 6.0):
-            ref, _ = quad(lambda s: 2.0 / np.sqrt(np.pi) * np.exp(-s * s), x, np.inf)
-            assert erfc(x) == pytest.approx(ref, rel=1e-12)
-        assert erfc(1.0) == pytest.approx(0.157299207050285, rel=1e-12)
-
-    def test_reflection(self):
-        x = np.linspace(-6, 6, 101)
-        assert np.allclose(erfc(-x), 2.0 - erfc(x), rtol=0, atol=1e-15)
 
 
 class TestScalarHarmonics:
@@ -176,22 +155,3 @@ class TestProjection:
         assert coeffs[(2, 1)] == pytest.approx(0.7, abs=1e-12)
         assert coeffs[(4, -3)] == pytest.approx(-1.3j, abs=1e-12)
         assert abs(coeffs[(3, 0)]) < 1e-12
-
-    def test_tangential_round_trip(self):
-        grid = angular_grid(24, 48)
-        x1 = vector_spherical_harmonic(2, 1, grid.theta, grid.phi)
-        x2 = vector_spherical_harmonic(5, 0, grid.theta, grid.phi)
-        vth = 2.0 * x1[1] + 0.5j * x2[1]
-        vph = 2.0 * x1[2] + 0.5j * x2[2]
-        coeffs = project_tangential(vth, vph, grid, max_l=6)
-        assert coeffs[(2, 1)] == pytest.approx(2.0, abs=1e-12)
-        assert coeffs[(5, 0)] == pytest.approx(0.5j, abs=1e-12)
-
-
-def test_index_and_point_validation():
-    with pytest.raises(ParameterError):
-        HarmonicIndex(l=1, m=2)
-    with pytest.raises(ParameterError):
-        SurfacePoint(theta=4.0, phi=0.0)
-    assert HarmonicIndex(3, -3).m == -3
-    assert SurfacePoint(0.5, 0.5).theta == 0.5
