@@ -54,6 +54,13 @@ def _number(d: dict, path: str, positive=False, required=True, default=None):
     val = _get(d, path, required=required, default=default)
     if val is default and not required:
         return default
+    val = _finite(path, val)
+    if positive and val <= 0:
+        raise ConfigError(path, "must be > 0")
+    return val
+
+
+def _finite(path: str, val) -> float:
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise ConfigError(path, "must be a number")
     try:
@@ -62,9 +69,20 @@ def _number(d: dict, path: str, positive=False, required=True, default=None):
         val = math.inf
     if not math.isfinite(val):
         raise ConfigError(path, "must be finite")
-    if positive and val <= 0:
-        raise ConfigError(path, "must be > 0")
     return val
+
+
+def _rows(val, path: str, width: int) -> tuple:
+    """A list of ``width``-number rows; each entry obeys the ``_number`` rules."""
+    if not isinstance(val, (list, tuple)):
+        raise ConfigError(path, f"must be a list of {width}-element lists")
+    for i, row in enumerate(val):
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise ConfigError(f"{path}[{i}]", f"must have exactly {width} entries")
+    return tuple(
+        tuple(_finite(f"{path}[{i}][{j}]", c) for j, c in enumerate(row))
+        for i, row in enumerate(val)
+    )
 
 
 # inclusive limits of the integer options, shared with the CLI overrides
@@ -102,14 +120,9 @@ def _loop(d: dict, prefix: str) -> Loop:
             windings=_integer(d, f"{prefix}.windings", 1, math.inf, 1),
         )
     if kind == "polygon":
-        verts = _get(d, f"{prefix}.vertices_m")
-        try:
-            vertices = tuple(tuple(float(c) for c in v) for v in verts)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{prefix}.vertices_m", "must be a list of 3-vectors")
         return Loop(
             kind="polygon",
-            vertices=vertices,
+            vertices=_rows(_get(d, f"{prefix}.vertices_m"), f"{prefix}.vertices_m", 3),
             windings=_integer(d, f"{prefix}.windings", 1, math.inf, 1),
         )
     raise ConfigError(f"{prefix}.kind", f"unknown loop kind {kind!r}")
@@ -129,15 +142,18 @@ def parse_config(data: dict) -> RunConfig:
         standoff_m=_number(data, "standoff_m", positive=True),
     )
     ramp = _get(data, "pulse.ramp", required=False, default="step")
-    table = _get(data, "pulse.table", required=False, default=())
+    t0 = _number(data, "pulse.t0_s", required=False, default=0.0)
+    table = _rows(_get(data, "pulse.table", required=False, default=()), "pulse.table", 2)
+    if table and table[-1][0] != t0:
+        raise ConfigError(f"pulse.table[{len(table) - 1}][0]", "last knot must be at pulse.t0_s")
     try:
         pulse = PulseWaveform(
             base_current_a=_number(data, "pulse.base_current_a", positive=True),
             windings=_integer(data, "pulse.windings", 1, math.inf, 1),
             ramp=ramp,
             tau_r_s=_number(data, "pulse.tau_r_s", required=False, default=0.0),
-            t0_s=_number(data, "pulse.t0_s", required=False, default=0.0),
-            table=tuple(tuple(row) for row in table) if table else (),
+            t0_s=t0,
+            table=table,
         )
     except ParameterError as exc:
         raise ConfigError("pulse", str(exc)) from exc

@@ -143,9 +143,7 @@ def cmd_early(args) -> int:
     outputs = {"early.json": file_digest(out_json)}
     if args.gates:
         gates = _parse_gates(args.gates)
-        series = early_voltage(
-            pipeline, config.receiver, gates, markers, scales, config.target
-        )
+        series = early_voltage(signal, gates, markers)
         out_csv = os.path.join(args.out, "early.csv")
         write_timeseries_csv(
             out_csv, series, extra_columns={"quality": series.metadata["quality"]}
@@ -280,8 +278,9 @@ def cmd_classify(args) -> int:
         "classify", lib, args.seed,
         inputs={"data": file_digest(args.data), "library": file_digest(args.library)},
         outputs={"classify.json": file_digest(out_path)},
-    )
-    write_json(os.path.join(args.out, "manifest_classify.json"), manifest.to_dict())
+    ).to_dict()
+    manifest["rejected"] = result.rejected
+    write_json(os.path.join(args.out, "manifest_classify.json"), manifest)
     print(f"wrote {out_path} (best: {result.best})")
     return 0
 

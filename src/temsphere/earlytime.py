@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import ParameterError, ScaleSystem, TargetSpec, TimeMarkers, scales_for
 from .excitation import Loop, TimeSeries, UniformField, exterior_multipole_line_integral
 from .special import (
     angular_grid,
+    erfc,
     project_scalar,
     spherical_harmonic,
     spherical_harmonic_dtheta,
@@ -518,25 +518,14 @@ def run_early_pipeline(
     )
 
 
-def early_voltage(
-    pipeline: EarlyPipeline,
-    rx: Loop,
-    gates_s,
-    markers: TimeMarkers,
-    scales: ScaleSystem,
-    target: TargetSpec,
-    window_fraction: float = 0.05,
-    transient_guard: float = 10.0,
-) -> TimeSeries:
+def early_voltage(signal: EarlySignal, gates_s, markers: TimeMarkers) -> TimeSeries:
     """Receiver voltage of the early-time law on the given gates (SI).
 
-    V(t) = -N_R d/dt oint Delta_A . dl = amplitude / sqrt(t - t_tr); gates
-    outside the validity window are flagged per-gate in metadata, never
-    dropped.  The series metadata carries the EarlySignal for reuse.
+    V(t) = -N_R d/dt oint Delta_A . dl = amplitude / sqrt(t - t_tr) with the
+    amplitude of ``signal`` (see ``early_signal``); gates outside its
+    validity window are flagged per-gate in metadata, never dropped.  The
+    series metadata carries the signal.
     """
-    signal = early_signal(pipeline, rx, markers, scales, target,
-                          window_fraction=window_fraction,
-                          transient_guard=transient_guard)
     t = np.asarray(gates_s, dtype=float)
     if np.any(t <= markers.t_tr_s):
         raise ParameterError("gates must lie after the transient time t_tr")

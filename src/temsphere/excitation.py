@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erfc as _erfc
 
 from .core import MU_0, ParameterError, TargetSpec, diffusivity
 from .modes import Mode, ModeLibrary
-from .special import spherical_bessel_j, spherical_harmonic_dtheta, vector_spherical_harmonic
+from .special import erfc, spherical_bessel_j, spherical_harmonic_dtheta, vector_spherical_harmonic
 
 
 @dataclass(frozen=True)
@@ -372,5 +371,5 @@ def truncation_bound(library: ModeLibrary, coeffs: ExcitationCoefficients, t) ->
         vbar = np.max(np.abs(volts[-max(1, volts.size // 4):]))
         x_max = np.max(xs[ls == l])
         u = x_max * np.sqrt(t / tau_c)
-        out += 2.0 * vbar * np.sqrt(np.pi) * _erfc(u) / (2.0 * np.pi * np.sqrt(t / tau_c))
+        out += 2.0 * vbar * np.sqrt(np.pi) * erfc(u) / (2.0 * np.pi * np.sqrt(t / tau_c))
     return out

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import ParameterError
 from .excitation import TimeSeries
+from .modes import NumericalError, TruncationError
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,15 @@ class PowerLawFit:
 
 @dataclass(frozen=True)
 class Classification:
-    """Ranked classification outcome (ascending misfit)."""
+    """Ranked classification outcome (ascending misfit).
+
+    ``rejected`` holds (name, error type name) for each candidate whose
+    forward model raised a package error on the data gates.
+    """
 
     ranking: tuple
     margin: float
+    rejected: tuple = ()
 
     @property
     def best(self) -> str:
@@ -110,6 +115,13 @@ def fit_power_law(
         exponent=float(coef[1]),
         residual=float(np.sqrt(np.mean(resid**2))),
     )
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use so that only fitting loads scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _rates_from_params(u: np.ndarray) -> np.ndarray:
@@ -280,8 +292,8 @@ def classify_library(
     for name, config in candidates:
         try:
             m = np.asarray(forward(config, t), dtype=float)
-        except Exception as exc:  # candidate invalid for these gates
-            failures.append((name, str(exc)))
+        except (ParameterError, NumericalError, TruncationError) as exc:
+            failures.append((name, type(exc).__name__, str(exc)))
             continue
         if free_gain:
             denom = float(np.sum(w * w * m * m))
@@ -300,4 +312,6 @@ def classify_library(
         if len(results) > 1 and results[0][1] > 0
         else np.inf
     )
-    return Classification(ranking=tuple(results), margin=float(margin))
+    return Classification(
+        ranking=tuple(results), margin=float(margin), rejected=tuple(f[:2] for f in failures)
+    )

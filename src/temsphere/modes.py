@@ -31,7 +31,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import MU_0, MaterialSpec, ParameterError, TargetSpec, diffusivity
 from .special import (
@@ -314,6 +313,8 @@ def radial_fd_decay_rates(
     s_last = np.sqrt(2.0)
     diag[-1] *= 2.0
     off[-1] *= s_last
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         k2 = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, count - 1), eigvals_only=True

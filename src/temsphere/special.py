@@ -1,4 +1,4 @@
-"""Spherical Bessel functions, spherical harmonics and sphere quadrature.
+"""Spherical Bessel functions, spherical harmonics, sphere quadrature and erfc.
 
 Conventions
 -----------
@@ -21,12 +21,24 @@ stable (it loses all accuracy for x < l).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .core import ParameterError
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def erfc(x) -> np.ndarray:
+    """Complementary error function, elementwise, as a float array.
+
+    ``math.erfc`` per element: at the gate counts used here (about 10^2) it
+    is faster than a vectorised rational kernel and needs no scipy import.
+    """
+    return np.asarray(_erfc(np.asarray(x, dtype=float)), dtype=float)
 
 
 # ---------------------------------------------------------------------------

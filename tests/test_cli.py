@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -126,6 +127,33 @@ class TestArgumentChecks:
         assert code == 2
         where = "loops.receiver" if section == "receiver" else section
         assert f"{where}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("pulse.table[1][1]", float("nan")),
+            ("pulse.table[2][0]", 3e-4),
+            ("loops.transmitter.vertices_m[0][2]", True),
+        ],
+        ids=["current-nan", "last-knot-after-t0", "vertex-true"],
+    )
+    def test_bad_table_or_vertex_exit_2(
+        self, tmp_path, sample_config_dict, capsys, where, value
+    ):
+        cfg = json.loads(json.dumps(sample_config_dict))
+        cfg["pulse"].update(ramp="table", t0_s=2e-4, table=[[0.0, 1.0], [1e-4, 0.4], [2e-4, 0.0]])
+        cfg["loops"]["transmitter"] = {"kind": "polygon", "vertices_m": [
+            [0.3, 0.3, 0.3], [-0.3, 0.3, 0.3], [-0.3, -0.3, 0.3]]}
+        *keys, row, col = re.findall(r"\w+", where)
+        node = cfg
+        for key in keys:
+            node = node[key]
+        node[int(row)][int(col)] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["modes", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert where in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -301,3 +329,26 @@ class TestFitAndClassify:
         assert result.returncode == 0, result.stderr
         report = json.loads((out / "classify.json").read_text())
         assert report["best"] == "aluminum_5cm"
+
+    def test_classify_manifest_lists_rejected(self, tmp_path, sample_config_dict):
+        cfg = json.loads(json.dumps(sample_config_dict))
+        cfg["options"]["max_n"] = 40
+        late = json.loads(json.dumps(cfg))
+        late["pulse"]["t0_s"] = 0.5  # shuts off after the first gates
+        cfg_path = tmp_path / "a.json"
+        cfg_path.write_text(json.dumps(cfg))
+        sim = tmp_path / "sim"
+        gates = ["--gates", "2e-3,1.0,30"]
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(sim), *gates]) == 0
+        lib_path = tmp_path / "library.json"
+        lib_path.write_text(json.dumps({"candidates": [
+            {"name": "late", "config": late}, {"name": "a", "config": cfg}]}))
+        out = tmp_path / "cls"
+        code = cli.main(["classify", "--data", str(sim / "simulate.csv"),
+                         "--library", str(lib_path), "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "classify.json").read_text())
+        assert [name for name, _ in report["ranking"]] == ["a"]
+        assert "rejected" not in report
+        manifest = json.loads((out / "manifest_classify.json").read_text())
+        assert manifest["rejected"] == [["late", "ParameterError"]]

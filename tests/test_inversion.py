@@ -5,6 +5,7 @@ import temsphere as ts
 from temsphere.core import ParameterError
 from temsphere import _io, inversion, pipeline
 from temsphere.inversion import DecayModel
+from temsphere.modes import NumericalError, TruncationError
 
 
 def noisy(values, rel, seed):
@@ -194,10 +195,37 @@ class TestClassifyLibrary:
         data = ts.TimeSeries(times_s=t, values=np.exp(-t))
 
         def broken(config, times):
-            raise ValueError("no forward model")
+            raise ParameterError("no forward model")
 
         with pytest.raises(ParameterError):
             ts.classify_library(data, [("a", None)], broken)
+
+    def test_typed_errors_reject_candidate(self):
+        t = np.geomspace(1e-3, 1.0, 10)
+        data = ts.TimeSeries(times_s=t, values=self.forward((1.0, 3.0), t))
+        errors = {"p": ParameterError, "n": NumericalError, "t": TruncationError}
+
+        def forward(config, times):
+            if config in errors:
+                raise errors[config]("invalid for these gates")
+            return self.forward(config, times)
+
+        candidates = [("a", (1.0, 3.0)), *((name, name) for name in errors), ("b", (1.0, 6.0))]
+        result = ts.classify_library(data, candidates, forward)
+        assert [name for name, _ in result.ranking] == ["a", "b"]
+        assert result.rejected == (
+            ("p", "ParameterError"), ("n", "NumericalError"), ("t", "TruncationError"))
+
+    def test_other_errors_propagate(self):
+        # a bug in the forward model is not a reason to drop a candidate
+        t = np.geomspace(1e-3, 1.0, 10)
+        data = ts.TimeSeries(times_s=t, values=np.exp(-t))
+
+        def buggy(config, times):
+            raise TypeError("unsupported operand")
+
+        with pytest.raises(TypeError, match="unsupported operand"):
+            ts.classify_library(data, [("a", (1.0, 3.0))], buggy)
 
     def test_empty_library_fails(self):
         t = np.geomspace(1e-3, 1.0, 10)

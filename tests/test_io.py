@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,12 +101,55 @@ class TestConfigParsing:
         assert (config.max_l, config.collapse_transient, config.receiver.windings) == (
             12, False, 3)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("pulse.table[1][1]", float("nan")),
+            ("pulse.table[2][0]", 3e-4),
+            ("pulse.table[2][0]", 1e-4),
+            ("pulse.table[0][0]", "0"),
+            ("pulse.table[1]", [1e-4]),
+            ("pulse.table[1]", [1e-4, 0.4, 0.0]),
+            ("pulse.table[1]", 0.4),
+            ("pulse.table", {"0": [0.0, 1.0]}),
+            ("loops.transmitter.vertices_m[0][2]", True),
+            ("loops.transmitter.vertices_m[3][0]", float("inf")),
+            ("loops.transmitter.vertices_m[1]", [0.3, 0.3]),
+            ("loops.transmitter.vertices_m", "square"),
+        ],
+        ids=["current-nan", "last-knot-after-t0", "last-knot-before-t0", "knot-string",
+             "row-short", "row-long", "row-scalar", "table-object", "vertex-true",
+             "vertex-inf", "vertex-2d", "vertices-string"],
+    )
+    def test_bad_table_or_vertex_names_path(self, table_polygon_config, path, value):
+        # a NaN knot used to fail later as "values must be finite", a true
+        # coordinate became 1.0 and a last knot after t0_s was accepted
+        with pytest.raises(ConfigError) as info:
+            parse_config(with_value(table_polygon_config, path, value))
+        assert info.value.path == path
+
+    def test_table_and_vertices_kept(self, table_polygon_config):
+        config = parse_config(table_polygon_config)
+        assert config.pulse.table == ((0.0, 1.0), (1e-4, 0.4), (2e-4, 0.0))
+        assert config.transmitter.vertices == tuple(
+            tuple(v) for v in table_polygon_config["loops"]["transmitter"]["vertices_m"])
+
+
+@pytest.fixture(scope="module")
+def table_polygon_config(sample_config_dict):
+    """The sample config with a tabulated pulse and a square transmitter."""
+    cfg = json.loads(json.dumps(sample_config_dict))
+    cfg["pulse"].update(ramp="table", t0_s=2e-4, table=[[0, 1], [1e-4, 0.4], [2e-4, 0.0]])
+    cfg["loops"]["transmitter"] = {"kind": "polygon", "vertices_m": [
+        [0.3, 0.3, 0.3], [-0.3, 0.3, 0.3], [-0.3, -0.3, 0.3], [0.3, -0.3, 0.3]]}
+    return cfg
+
 
 def with_value(config: dict, path: str, value) -> dict:
-    """Deep copy of ``config`` with the dotted ``path`` set to ``value``."""
+    """Deep copy of ``config`` with ``path`` (``a.b`` or ``a.b[i][j]``) set to ``value``."""
     out = json.loads(json.dumps(config))
     node = out
-    *parents, leaf = path.split(".")
+    *parents, leaf = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
     for key in parents:
         node = node[key]
     node[leaf] = value
@@ -120,7 +164,7 @@ JSON_SCALARS = st.one_of(
     st.none(),
 )
 
-# dotted config path -> what parse_config keeps of it
+# config path -> what parse_config keeps of it
 KEPT = {
     "options.max_l": lambda c: c.max_l,
     "options.max_n": lambda c: c.max_n,
@@ -128,21 +172,28 @@ KEPT = {
     "loops.transmitter.windings": lambda c: c.transmitter.windings,
     "loops.receiver.windings": lambda c: c.receiver.windings,
     "target.radius_m": lambda c: c.target.radius_m,
+    "pulse.table[1][1]": lambda c: c.pulse.table[1][1],
+    "pulse.table[2][0]": lambda c: c.pulse.table[2][0],
+    "loops.transmitter.vertices_m[0][2]": lambda c: c.transmitter.vertices[0][2],
 }
+FLOAT_PATHS = ("target.radius_m", "pulse.table[1][1]", "pulse.table[2][0]",
+               "loops.transmitter.vertices_m[0][2]")
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=450, deadline=None)
 @given(path=st.sampled_from(sorted(KEPT)), value=JSON_SCALARS)
-def test_scalar_kept_exactly_or_rejected_by_path(sample_config_dict, path, value):
+def test_scalar_kept_exactly_or_rejected_by_path(table_polygon_config, path, value):
     try:
-        config = parse_config(with_value(sample_config_dict, path, value))
+        config = parse_config(with_value(table_polygon_config, path, value))
     except ConfigError as exc:
         assert exc.path == path
         return
     kept = KEPT[path](config)
-    if path == "target.radius_m":
-        # JSON numbers are doubles: the radius is kept as the float of the input
+    if path in FLOAT_PATHS:
+        # JSON numbers are doubles: the value is kept as the float of the input
         assert not isinstance(value, bool) and math.isfinite(kept) and kept == float(value)
+        if path == "pulse.table[2][0]":
+            assert kept == config.pulse.t0_s
     else:
         assert type(kept) is int and type(value) is int and kept == value
 
