@@ -173,6 +173,8 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(collapse, bool):
         raise ConfigError("options.collapse_transient", "must be true or false")
     regime_tol = _number(data, "options.regime_tol", required=False, default=1e-2)
+    if not 0.0 < regime_tol < 1.0:
+        raise ConfigError("options.regime_tol", "must lie in (0, 1)")
     return RunConfig(
         target=target,
         environment=env,

@@ -3,7 +3,8 @@
 The mode sum is exact once enough overtones are retained but useless
 earlier than its truncation allows; the early-time law is exact as
 t -> t_tr but degrades like sqrt(t/tau_c).  ``compose_response`` splices
-the two over a one-decade blend window with log-linear weights.
+the two over a one-decade blend window with log-linear weights, and only
+where ``regime_boundaries``, running that same splice, found it accurate.
 
 ``crosscheck_amplitude`` is the central validation: the t^(-1/2) amplitude
 extracted from the numerically synthesized mode sum must agree with the
@@ -27,20 +28,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParameterError, TimeMarkers
+from .earlytime import EarlySignal
 from .excitation import ExcitationCoefficients, TimeSeries, synthesize_voltage
-from .modes import ModeLibrary, NumericalError, _sector_wavenumbers
+from .modes import ModeLibrary, _sector_wavenumbers
 
 
 @dataclass(frozen=True)
 class RegimeReport:
     """Boundaries of the early/blend/intermediate/late description.
 
-    ``early_ok`` is False when no gate window exists in which the
-    power-law matches the covered mode sum to tolerance (strongly
-    permeable targets at modest mode counts, or single-mode spectra); the
-    composite then falls back to the mode sum alone.  For multi-mode
-    spectra the factory guarantees early_end < late_start; the degenerate
-    single-mode case reports late_start = t0 ("all late").
+    ``blend_mismatch`` is the worst distortion that splicing the early law
+    into the mode sum introduces over the blend decade, NaN when no blend
+    decade fits inside the library's spectral coverage.  ``early_ok`` is
+    True when it is within tolerance; otherwise (strongly permeable targets
+    at modest mode counts, or single-mode spectra) the composite falls back
+    to the mode sum alone.  For multi-mode spectra the factory guarantees
+    early_end < late_start; the degenerate single-mode case reports
+    late_start = t0 ("all late").
     """
 
     early_end_s: float
@@ -48,7 +52,7 @@ class RegimeReport:
     blend_lo_s: float
     blend_hi_s: float
     early_ok: bool
-    descriptions: dict
+    blend_mismatch: float
 
 
 @dataclass(frozen=True)
@@ -62,22 +66,43 @@ class CrosscheckResult:
     conclusive: bool
 
 
+def _splice(t, early, mode, lo, hi):
+    """Splice early-law and mode-sum values over [lo, hi], linear in log(t).
+
+    Returns the spliced values, the mode-sum weights and the worst
+    distortion min(w, 1-w) |early - mode| / |value| strictly inside the
+    blend (0 when no sample lies there).
+    """
+    w = np.clip(np.log(t / lo) / np.log(hi / lo), 0.0, 1.0)
+    # exact at both edges: pure early below, pure mode sum above
+    vals = np.where(w >= 1.0, mode, early + w * (mode - early))
+    inside = (w > 0.0) & (w < 1.0)
+    if not np.any(inside):
+        return vals, w, 0.0
+    # distortion relative to the nearer model: zero at both blend edges
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mism = np.minimum(w, 1.0 - w) * np.abs(early - mode) / np.abs(vals)
+    return vals, w, float(np.max(mism[inside]))
+
+
 def regime_boundaries(
     library: ModeLibrary,
     coeffs: ExcitationCoefficients,
     markers: TimeMarkers,
+    signal: EarlySignal,
     tol: float = 0.01,
-    early_fraction_cap: float = 0.05,
 ) -> RegimeReport:
-    """Locate the early-end and late-start times of the response.
+    """Locate the regime boundaries and decide whether the early law is used.
 
     Late time begins when the second-slowest distinct mode has decayed to
     ``tol`` of the fundamental: t0 + ln(|V2/V1|/tol)/(lambda2 - lambda1).
-    The early end is the largest t <= cap*tau_c such that the mode sum's
-    V sqrt(t-t0), extrapolated to its t -> 0 plateau, deviates by at most
-    0.7*tol at the top of the blend decade; candidates are additionally
-    floored so the whole blend stays inside the library's spectral
-    coverage (largest rate times elapsed >= 15).
+    The early end lies one decade above the spectral floor (largest rate
+    times elapsed >= 15, and twice the transient), capped at the end of the
+    early law's validity window; the blend decade is centred on it.  The
+    early law is used only if the splice ``compose_response`` applies,
+    run on 50 log-spaced probe gates across the blend decade, distorts the
+    curve by at most ``tol``.  The decision never depends on the caller's
+    gates.
     """
     if len(library.modes) < 1:
         raise ParameterError("need at least one mode")
@@ -92,57 +117,39 @@ def regime_boundaries(
             late = t0 + np.log(abs(volts[k] / v1) / tol) / (rates[k] - lam1)
             break
     late = max(late, t0)
-    tau_c = markers.tau_c_s
-    lam_max = rates[-1]
     root10 = np.sqrt(10.0)
     # blend bottom must keep the mode sum's omitted tail negligible and
     # stay clear of the post-quench transient
-    floor = max(15.0 / lam_max, 2.0 * markers.tau_tr_s)
-    early_end = min(floor * 10.0, early_fraction_cap * tau_c)
+    floor = max(15.0 / rates[-1], 2.0 * markers.tau_tr_s)
+    early_end = min(floor * 10.0, signal.window_s[1])
     blend_lo, blend_hi = early_end / root10, early_end * root10
-    early_ok = False
+    mismatch = float("nan")
     if late > t0 and blend_lo > floor * 0.999 and blend_hi < late - t0:
-        probe = np.geomspace(floor, blend_hi, 50)
-        series = synthesize_voltage(library, coeffs, probe)
-        y = series.values * np.sqrt(probe)
-        head = probe <= probe[0] * root10
-        design = np.vstack([np.ones(np.sum(head)), np.sqrt(probe[head])]).T
-        coef, *_ = np.linalg.lstsq(design, y[head], rcond=None)
-        plateau = coef[0]
-        if plateau != 0.0 and np.sign(plateau) == np.sign(np.mean(y[head])):
-            dev = np.abs(y / plateau - 1.0)
-            # worst distortion the log-linear splice can introduce
-            w = np.clip(np.log(probe / blend_lo) / np.log(blend_hi / blend_lo), 0, 1)
-            distortion = float(np.max(np.minimum(w, 1.0 - w) * dev))
-            early_ok = distortion <= tol
+        probe = np.geomspace(blend_lo, blend_hi, 50)
+        mode = synthesize_voltage(library, coeffs, probe).values
+        _, _, mismatch = _splice(
+            t0 + probe, signal.evaluate(t0 + probe), mode, t0 + blend_lo, t0 + blend_hi
+        )
     return RegimeReport(
         early_end_s=t0 + early_end,
-        late_start_s=late if late > t0 else t0,
+        late_start_s=late,
         blend_lo_s=t0 + blend_lo,
         blend_hi_s=t0 + blend_hi,
-        early_ok=early_ok,
-        descriptions={
-            "early": "power-law t^(-1/2)" if early_ok else "unresolved (mode sum only)",
-            "intermediate": f"{len(rates)}-mode superposition",
-            "late": f"single rate {lam1:.6g} /s",
-        },
+        early_ok=bool(mismatch <= tol),
+        blend_mismatch=mismatch,
     )
 
 
 def compose_response(
-    mode_sum: TimeSeries,
-    early: TimeSeries,
-    report: RegimeReport,
-    tol_jump: float = 1e-2,
+    mode_sum: TimeSeries, early: TimeSeries, report: RegimeReport
 ) -> TimeSeries:
-    """Splice early-law and mode-sum series over the blend decade.
+    """Apply the report's decision to early-law and mode-sum series.
 
-    Both series must be sampled on the same gates.  Weights are linear in
-    log(t) across [blend_lo, blend_hi]; the maximum relative disagreement
-    of the two models inside the blend is recorded and must not exceed
-    ``tol_jump``.  When the report flags the early window as unresolved
-    (strongly permeable targets at modest mode counts), the mode sum is
-    returned unblended and the early series ignored.
+    Both series must be sampled on the same gates.  When the report
+    accepts the early law, the two are spliced over its blend decade (see
+    ``regime_boundaries``); otherwise the mode sum is returned unblended
+    and the early series ignored.  The metadata carries the report's
+    ``blend_mismatch``.
     """
     if mode_sum.times_s.shape != early.times_s.shape or not np.allclose(
         mode_sum.times_s, early.times_s, rtol=1e-12
@@ -150,52 +157,19 @@ def compose_response(
         raise ParameterError("mode-sum and early series must share gate support")
     t = mode_sum.times_s
     late_label = np.where(t < report.late_start_s, "intermediate", "late")
+    metadata = {
+        "kind": "composite",
+        "blend_mismatch": report.blend_mismatch,
+        "early_used": report.early_ok,
+    }
     if not report.early_ok:
-        return TimeSeries(
-            times_s=t,
-            values=mode_sum.values.copy(),
-            metadata={
-                "kind": "composite",
-                "regime": late_label,
-                "blend_mismatch": float("nan"),
-                "early_used": False,
-            },
-        )
+        metadata["regime"] = late_label
+        return TimeSeries(times_s=t, values=mode_sum.values.copy(), metadata=metadata)
     lo, hi = report.blend_lo_s, report.blend_hi_s
-    w = np.clip(np.log(t / lo) / np.log(hi / lo), 0.0, 1.0)
-    # exact at both edges: pure early below, pure mode sum above
-    vals = np.where(
-        w >= 1.0,
-        mode_sum.values,
-        early.values + w * (mode_sum.values - early.values),
-    )
-    in_blend = (w > 0.0) & (w < 1.0)
-    if np.any(in_blend):
-        # distortion relative to the nearer model: zero at both blend edges
-        mism = (
-            np.minimum(w, 1.0 - w)[in_blend]
-            * np.abs(early.values - mode_sum.values)[in_blend]
-            / np.abs(vals[in_blend])
-        )
-        blend_mismatch = float(np.max(mism))
-    else:
-        blend_mismatch = 0.0
-    if blend_mismatch > tol_jump:
-        raise NumericalError(
-            f"blend mismatch {blend_mismatch:.3g} exceeds tolerance {tol_jump:.3g}"
-        )
-    regime = np.where(t < lo, "early", np.where(t <= hi, "blend", late_label))
-    return TimeSeries(
-        times_s=t,
-        values=vals,
-        metadata={
-            "kind": "composite",
-            "regime": regime,
-            "blend_mismatch": blend_mismatch,
-            "early_used": True,
-            "weights": w,
-        },
-    )
+    vals, w, _ = _splice(t, early.values, mode_sum.values, lo, hi)
+    metadata["regime"] = np.where(t < lo, "early", np.where(t <= hi, "blend", late_label))
+    metadata["weights"] = w
+    return TimeSeries(times_s=t, values=vals, metadata=metadata)
 
 
 def crosscheck_amplitude(

@@ -40,6 +40,11 @@ from .special import (
     vector_spherical_harmonic,
 )
 
+# validity window of the t^(-1/2) law (EarlySignal.window_s): from
+# TRANSIENT_GUARD transient times to WINDOW_FRACTION of tau_c after shutoff
+TRANSIENT_GUARD = 10.0
+WINDOW_FRACTION = 0.05
+
 
 @dataclass
 class PotentialExpansion:
@@ -410,8 +415,6 @@ def external_fields(
     elapsed: float,
     mu_b: float,
     markers: TimeMarkers | None = None,
-    window_fraction: float = 0.05,
-    transient_guard: float = 10.0,
 ) -> EarlyTimeField:
     """Exterior field corrections (Delta_A, Delta_B, Delta_E) at points.
 
@@ -451,13 +454,13 @@ def external_fields(
     dE = -dA / (2.0 * elapsed)
     if markers is not None:
         tau_c = markers.tau_c_s
-        lo = transient_guard * markers.tau_tr_s
-        hi = window_fraction * tau_c
+        lo = TRANSIENT_GUARD * markers.tau_tr_s
+        hi = WINDOW_FRACTION * tau_c
         # elapsed is internal (units tau_c); compare in the same units
         window = (lo / tau_c, hi / tau_c)
         in_window = window[0] <= elapsed <= window[1]
     else:
-        window = (0.0, window_fraction)
+        window = (0.0, WINDOW_FRACTION)
         in_window = elapsed <= window[1]
     return EarlyTimeField(
         r=ra, theta=th, phi=ph, elapsed=elapsed, dA=dA, dB=dB, dE=dE,
@@ -547,8 +550,6 @@ def early_signal(
     markers: TimeMarkers,
     scales: ScaleSystem,
     target: TargetSpec,
-    window_fraction: float = 0.05,
-    transient_guard: float = 10.0,
 ) -> EarlySignal:
     """Power-law amplitude of the early-time receiver voltage (SI)."""
     a = target.radius_m
@@ -565,7 +566,7 @@ def early_signal(
         raise ParameterError("unbalanced harmonic pairs leave a complex voltage")
     # V_hat = N_R * total / sqrt(tau_hat); SI: V = V_hat * voltage_scale
     amp = rx.windings * total.real * scales.factor("voltage") * np.sqrt(tau_c)
-    window = (transient_guard * markers.tau_tr_s, window_fraction * tau_c)
+    window = (TRANSIENT_GUARD * markers.tau_tr_s, WINDOW_FRACTION * tau_c)
     return EarlySignal(
         amplitude_v_sqrt_s=float(amp),
         t_ref_s=markers.t_tr_s,

@@ -299,7 +299,7 @@ def compute_excitation(
     shape = np.empty_like(xs)  # N j_l(x): the mode profile on the surface
     geom0 = np.empty(xs.shape, dtype=complex)  # m = 0 line integral (rx if uniform, else tx)
     gsum = np.empty_like(xs)  # sum over m of Re(conj(tx_m) rx_m)
-    for l in np.unique(ls).tolist():
+    for l in sorted(set(ls.tolist())):
         sel = ls == l
         shape[sel] = norms[sel] * spherical_bessel_j(l, xs[sel])
         if uniform:
@@ -366,7 +366,7 @@ def truncation_bound(library: ModeLibrary, coeffs: ExcitationCoefficients, t) ->
     tau_c = a * a / d_c
     ls, xs, _ = _mode_columns(library)
     out = np.zeros_like(t)
-    for l in np.unique(ls).tolist():
+    for l in sorted(set(ls.tolist())):
         volts = coeffs.voltages[ls == l]
         vbar = np.max(np.abs(volts[-max(1, volts.size // 4):]))
         x_max = np.max(xs[ls == l])

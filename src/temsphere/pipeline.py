@@ -116,10 +116,12 @@ def forward_model(
     early_ts = TimeSeries(
         times_s=gates, values=early_vals, metadata={"kind": "early_time", "signal": signal}
     )
-    report = regime_boundaries(library, coeffs, markers, tol=config.regime_tol)
+    report = regime_boundaries(library, coeffs, markers, signal, config.regime_tol)
     composite = compose_response(mode_ts, early_ts, report)
     regime_guard = validate_regime(markers, config.regime_tol)
-    quality = _gate_quality(gates, markers, mode_ts.metadata["truncation_bound"], composite)
+    quality = _gate_quality(
+        gates, markers, signal, mode_ts.metadata["truncation_bound"], composite
+    )
     composite.metadata.update(
         {
             "quality": quality,
@@ -140,12 +142,12 @@ def forward_model(
     )
 
 
-def _gate_quality(gates, markers, bound, composite) -> np.ndarray:
-    """Per-gate flags 'ok', 'transient' or 'truncated' (mode-sum tail ``bound``)."""
+def _gate_quality(gates, markers, signal, bound, composite) -> np.ndarray:
+    """Per-gate flags 'ok', 'transient' (before the early law's validity
+    window) or 'truncated' (mode-sum tail ``bound``)."""
     elapsed = gates - markers.t0_s
     flags = np.full(gates.shape, "ok", dtype="<U9")
-    guard = 10.0 * markers.tau_tr_s
-    flags[elapsed < guard] = "transient"
+    flags[elapsed < signal.window_s[0]] = "transient"
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = bound > 0.01 * np.abs(composite.values)
     flags[bad & (flags == "ok")] = "truncated"

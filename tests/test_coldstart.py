@@ -1,4 +1,7 @@
-"""Cold start: scipy stays unloaded except where fitting and the FD oracle need it."""
+"""Cold start: scipy stays unloaded except where fitting and the FD oracle need it.
+
+numpy loads ``numpy.ma`` lazily; no command but ``fit`` should pull it in.
+"""
 
 import ast
 import json
@@ -44,6 +47,7 @@ commands = [
 for argv in commands:
     assert cli.main(argv) == 0, argv
     assert not scipy_loaded(), (argv[0], scipy_loaded()[:3])
+    assert "numpy.ma" not in sys.modules, argv[0]
 calls = []
 minimize = inversion.minimize
 

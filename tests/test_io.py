@@ -83,9 +83,13 @@ class TestConfigParsing:
             ("target.radius_m", float("nan")),
             ("target.radius_m", float("inf")),
             ("target.radius_m", 10**400),
+            ("options.regime_tol", 0),
+            ("options.regime_tol", -1),
+            ("options.regime_tol", 1.5),
         ],
         ids=["max_l-0", "max_n-0", "max_l-2.7", "rx-windings-1.7", "pulse-windings-2.0",
-             "collapse-no", "radius-nan", "radius-inf", "radius-10^400"],
+             "collapse-no", "radius-nan", "radius-inf", "radius-10^400", "regime_tol-0",
+             "regime_tol--1", "regime_tol-1.5"],
     )
     def test_bad_scalar_names_path(self, sample_config_dict, path, value):
         # each of these used to be coerced (0 -> default, 2.7 -> 2, "no" -> True)
