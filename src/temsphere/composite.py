@@ -30,7 +30,7 @@ import numpy as np
 from .core import ParameterError, TimeMarkers
 from .earlytime import EarlySignal
 from .excitation import ExcitationCoefficients, TimeSeries, synthesize_voltage
-from .modes import ModeLibrary, _sector_wavenumbers
+from .modes import ModeLibrary, sector_spectrum
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,9 @@ def crosscheck_amplitude(
     Requires a single-sector library (one l).  The mode voltage is
     synthesized on log gates across ``window`` (in units of tau_c), then a
     scale factor is fitted against the spectral template built from an
-    extended wavenumber ladder; the template's t -> 0 amplitude converts
-    the scale to the asymptotic c_mode = fit * sqrt(tau_c) / (2 sqrt(pi)).
+    extended wavenumber ladder (the cached sector spectrum); the template's
+    t -> 0 amplitude converts the scale to the asymptotic
+    c_mode = fit * sqrt(tau_c) / (2 sqrt(pi)).
     A fit residual above ``residual_threshold`` marks the comparison
     inconclusive rather than reporting a deviation.
     """
@@ -206,7 +207,7 @@ def crosscheck_amplitude(
     series = synthesize_voltage(library, coeffs, tau)
     y = series.values * np.sqrt(tau)
     count = max(template_count, 2 * len(library.modes))
-    xs = _sector_wavenumbers(l, mu_ratio, count, None)
+    xs, _ = sector_spectrum(l, mu_ratio, count)
     h2 = l * (mu_ratio - 1.0) * (l * (mu_ratio - 1.0) + 2.0 * l + 1.0)
     v = xs * xs / (xs * xs + h2)
     template = np.sqrt(tau) * (np.exp(-np.outer(tau / tau_c, xs * xs)) @ v)

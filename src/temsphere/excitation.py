@@ -292,8 +292,7 @@ def compute_excitation(
     if not library.modes:
         raise ParameterError("mode library is empty")
     a = library.target.radius_m
-    ls, xs, norms = _mode_columns(library)
-    rates = library.rates
+    ls, xs, norms, rates = library.columns
     i_n = pulse_history_integral(pulse, rates)
     uniform = isinstance(tx, UniformField)
     shape = np.empty_like(xs)  # N j_l(x): the mode profile on the surface
@@ -319,14 +318,6 @@ def compute_excitation(
         a_n = MU_0 * i_n * np.conj(shape * geom0)
         v_n = rates * rx.windings * MU_0 * i_n * shape * shape * gsum
     return ExcitationCoefficients(pulse_integrals=i_n, amplitudes=a_n, voltages=v_n)
-
-
-def _mode_columns(library: ModeLibrary):
-    """Sector degree l, wavenumber x and norm of every mode, as arrays."""
-    ls = np.array([m.l for m in library.modes])
-    xs = np.array([m.x for m in library.modes])
-    norms = np.array([m.norm for m in library.modes])
-    return ls, xs, norms
 
 
 def synthesize_voltage(
@@ -364,7 +355,7 @@ def truncation_bound(library: ModeLibrary, coeffs: ExcitationCoefficients, t) ->
     a = library.target.radius_m
     d_c = diffusivity(library.target.material)
     tau_c = a * a / d_c
-    ls, xs, _ = _mode_columns(library)
+    ls, xs, _, _ = library.columns
     out = np.zeros_like(t)
     for l in sorted(set(ls.tolist())):
         volts = coeffs.voltages[ls == l]

@@ -12,6 +12,7 @@ candidate targets are forward-modeled and ranked by weighted RMS misfit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +155,22 @@ def _linear_solve(t, y, w, rates, power_exponent, with_power, with_baseline):
     return coef, float(resid @ resid), wd
 
 
+def _objective(u, t, y, w, power_exponent, with_power, with_baseline) -> float:
+    """Variable-projection SSE at log-gap parameters ``u``.
+
+    1e30 outside the rate box (1e-12..1e12 /s) or where the SSE is not
+    finite: near-coincident fast rates make the linear solve overflow to
+    inf coefficients, and the optimizer must not be fed the NaN.  Far
+    probes overflow by design, so callers evaluate it under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    rates = _rates_from_params(u)
+    if rates[-1] > 1e12 or rates[0] < 1e-12:
+        return 1e30
+    _, sse, _ = _linear_solve(t, y, w, rates, power_exponent, with_power, with_baseline)
+    return sse if math.isfinite(sse) else 1e30
+
+
 def fit_exponentials(
     data: TimeSeries,
     k: int,
@@ -187,14 +204,6 @@ def fit_exponentials(
     with_baseline = init is not None and init.baseline != 0.0
     p_exp = init.power_exponent if init is not None else -0.5
     rng = np.random.default_rng(seed)
-
-    def objective(u):
-        rates = _rates_from_params(u)
-        if rates[-1] > 1e12 or rates[0] < 1e-12:
-            return 1e30
-        _, sse, _ = _linear_solve(t, y, w, rates, p_exp, with_power, with_baseline)
-        return sse
-
     starts = []
     r_lo, r_hi = 0.5 / t[-1], 2.0 / t[0]
     for _ in range(restarts):
@@ -217,7 +226,9 @@ def fit_exponentials(
             for g in (3.0, 10.0):
                 starts.append(_params_from_rates(np.append(prev, prev[-1] * g)))
 
-    results = [minimize(objective, u0, method="L-BFGS-B") for u0 in starts]
+    args = (t, y, w, p_exp, with_power, with_baseline)
+    with np.errstate(over="ignore", invalid="ignore"):  # once, not per objective call
+        results = [minimize(_objective, u0, args=args, method="L-BFGS-B") for u0 in starts]
     best = min(results, key=lambda res: res.fun)
     rates = _rates_from_params(best.x)
     coef, sse, wd = _linear_solve(t, y, w, rates, p_exp, with_power, with_baseline)

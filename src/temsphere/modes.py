@@ -28,7 +28,10 @@ formula needs no further constants.
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -84,16 +87,26 @@ class ModeLibrary:
     max_n: int
 
     def __post_init__(self):
-        rates = [m.decay_rate_per_s for m in self.modes]
-        if any(b < a for a, b in zip(rates, rates[1:])):
+        if np.any(np.diff(self.rates) < 0):
             raise ParameterError("mode library must be sorted by decay rate")
 
     def sector(self, l: int) -> list:
         return [m for m in self.modes if m.l == l]
 
+    @cached_property
+    def columns(self) -> tuple:
+        """Read-only arrays (l, x, norm, decay rate) over the modes, built once."""
+        cols = tuple(
+            np.array([getattr(m, name) for m in self.modes])
+            for name in ("l", "x", "norm", "decay_rate_per_s")
+        )
+        for col in cols:
+            col.flags.writeable = False
+        return cols
+
     @property
     def rates(self) -> np.ndarray:
-        return np.array([m.decay_rate_per_s for m in self.modes])
+        return self.columns[3]
 
     def to_dict(self) -> dict:
         mat = self.target.material
@@ -183,7 +196,7 @@ def _residual_ok(l: int, x: np.ndarray, mu_ratio: float) -> np.ndarray:
     return np.abs(eigencondition(l, x, mu_ratio)) <= np.maximum(1e-12 * scale, floor)
 
 
-def _sector_wavenumbers(l: int, mu_ratio: float, count: int, x_max: float | None, ladder=None):
+def _sector_wavenumbers(l: int, mu_ratio: float, count: int, ladder=None) -> np.ndarray:
     """First ``count`` eigen-wavenumbers of sector l.
 
     Brackets come from the merged zeros of j_(l-1) and j_l, sliced from
@@ -215,25 +228,85 @@ def _sector_wavenumbers(l: int, mu_ratio: float, count: int, x_max: float | None
         roots = roots[roots > 1e-8][:count]
     if roots.size < count:
         raise NumericalError(f"found only {roots.size} of {count} roots for l={l}")
-    if x_max is not None and roots[-1] > x_max:
-        raise TruncationError(
-            f"root {roots[-1]:.3f} exceeds configured x_max={x_max:.3f} for l={l}"
-        )
     if not np.all(_residual_ok(l, roots, mu_ratio)):
         raise NumericalError("eigencondition residual above its rounding floor after polishing")
     return roots
 
 
-def normalization_constant(target: TargetSpec, l: int, x) -> np.ndarray | float:
-    """Radial normalization N with mu_0 sigma_c N^2 a^3 J(x) = 1.
+def _lommel(l: int, x):
+    """J(x) = int_0^1 j_l(x u)^2 u^2 du = [j_l(x)^2 - j_(l-1)(x) j_(l+1)(x)] / 2.
 
-    J(x) = int_0^1 j_l(x u)^2 u^2 du = [j_l(x)^2 - j_(l-1)(x) j_(l+1)(x)] / 2
-    (Lommel closed form, valid for every x).
+    Lommel closed form, valid for every x.
     """
     jl = spherical_bessel_j(l, x)
-    jm = spherical_bessel_j(l - 1, x)
-    jp = spherical_bessel_j(l + 1, x)
-    radial = 0.5 * (jl * jl - jm * jp)
+    return 0.5 * (jl * jl - spherical_bessel_j(l - 1, x) * spherical_bessel_j(l + 1, x))
+
+
+# Sector spectra by (l, mu_c/mu_b): the longest wavenumber array computed so
+# far and its Lommel integrals, read-only, least recently used first.  Root
+# brackets, bisection fixed points, Newton polish and Bessel values are all
+# per element, so the first n entries of a stored array equal a fresh n-root
+# computation bit for bit.  Bounded by the total number of wavenumbers held
+# (x and J together: about 2 MB).
+_SPECTRUM_CAP = 1 << 17
+_spectra: OrderedDict = OrderedDict()
+_spectra_size = 0  # wavenumbers held in _spectra
+_spectra_lock = threading.Lock()
+
+
+def sector_spectrum(
+    l: int, mu_ratio: float, count: int, x_max: float | None = None, *, _ladder=None
+) -> tuple:
+    """First ``count`` wavenumbers x_n of sector l and their Lommel integrals J(x_n).
+
+    Both arrays are read-only views into the process-wide spectrum cache.
+    ``_ladder`` is a zero-argument callable returning a shared Bessel-zero
+    ladder, called only on a cache miss.
+    """
+    key = (l, mu_ratio)
+    with _spectra_lock:
+        entry = _spectra.get(key)
+        if entry is not None and entry[0].size >= count:
+            _spectra.move_to_end(key)
+        else:
+            entry = None
+    if entry is None:
+        xs = _sector_wavenumbers(l, mu_ratio, count, _ladder() if _ladder else None)
+        entry = (xs, _lommel(l, xs))
+        for arr in entry:
+            arr.flags.writeable = False
+        _store_spectrum(key, entry)
+    xs, radial = entry[0][:count], entry[1][:count]
+    if x_max is not None and xs[-1] > x_max:
+        raise TruncationError(
+            f"root {xs[-1]:.3f} exceeds configured x_max={x_max:.3f} for l={l}"
+        )
+    return xs, radial
+
+
+def _store_spectrum(key, entry) -> None:
+    """Hold ``entry`` unless it alone exceeds the cap or a longer one is held."""
+    global _spectra_size
+    size = entry[0].size
+    with _spectra_lock:
+        old = _spectra.get(key)
+        if size > _SPECTRUM_CAP or (old is not None and old[0].size >= size):
+            return
+        _spectra.pop(key, None)
+        _spectra_size += size - (0 if old is None else old[0].size)
+        _spectra[key] = entry
+        while _spectra_size > _SPECTRUM_CAP:
+            _spectra_size -= _spectra.popitem(last=False)[1][0].size
+
+
+def normalization_constant(target: TargetSpec, l: int, x, radial=None) -> np.ndarray | float:
+    """Radial normalization N with mu_0 sigma_c N^2 a^3 J(x) = 1.
+
+    ``radial`` is J(x) when already known (see `sector_spectrum`);
+    otherwise it is computed by `_lommel`.
+    """
+    if radial is None:
+        radial = _lommel(l, x)
     sigma = target.material.conductivity_s_per_m
     return 1.0 / np.sqrt(MU_0 * sigma * target.radius_m**3 * radial)
 
@@ -245,21 +318,22 @@ def find_decay_rates(
     count: int,
     x_max: float | None = None,
     *,
-    _ladder: list | None = None,
+    _ladder=None,
 ) -> list:
     """First ``count`` normalized modes of sector l, ascending decay rate.
 
-    ``_ladder`` shares one Bessel-zero ladder among `build_mode_library`'s
-    sectors; it saves work and never changes the result.
+    ``_ladder`` shares one lazily built Bessel-zero ladder among
+    `build_mode_library`'s sectors; it saves work and never changes the
+    result.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
     mu_ratio = target.material.relative_permeability / background_mu_r
-    xs = _sector_wavenumbers(l, mu_ratio, count, x_max, _ladder)
+    xs, radial = sector_spectrum(l, mu_ratio, count, x_max, _ladder=_ladder)
     d_c = diffusivity(target.material)
     a = target.radius_m
     rates = d_c * xs * xs / (a * a)
-    norms = normalization_constant(target, l, xs)
+    norms = normalization_constant(target, l, xs, radial)
     columns = zip(xs.tolist(), rates.tolist(), norms.tolist())
     return [
         Mode(l=l, m=0, n=n, x=x, decay_rate_per_s=rate, norm=norm, radius_m=a)
@@ -337,7 +411,7 @@ def build_mode_library(
     m = 0 and reconstructed per m by the excitation machinery as needed.
     """
     mu_ratio = target.material.relative_permeability / background_mu_r
-    ladder = _bessel_zero_ladder(max_l - (mu_ratio == 1.0), count_per_l + 2)
+    ladder = cache(lambda: _bessel_zero_ladder(max_l - (mu_ratio == 1.0), count_per_l + 2))
     modes = []
     for l in range(1, max_l + 1):
         modes.extend(find_decay_rates(target, background_mu_r, l, count_per_l, _ladder=ladder))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,34 @@ class TestFitExponentials:
         data = ts.TimeSeries(times_s=t, values=np.exp(-t))
         with pytest.raises(ParameterError):
             ts.fit_exponentials(data, k=6)
+
+
+class TestFiniteObjective:
+    # two decays at 50 and 500 /s over 60 gates: L-BFGS-B probes rates far
+    # enough out that exp(u) overflows, and near-coincident fast rates whose
+    # linear solve returns inf coefficients and a NaN residual
+    T = np.geomspace(0.1 / 500.0, 8.0 / 50.0, 60)
+    Y = np.exp(-np.outer(T, [50.0, 500.0])) @ [1.0, 1.0]
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_fit_emits_no_floating_point_warning(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = ts.fit_exponentials(ts.TimeSeries(times_s=self.T, values=self.Y), k=2, seed=seed)
+        assert fit.model.rates == pytest.approx((50.0, 500.0), rel=1e-6)
+
+    def test_near_coincident_rates_give_large_finite_objective(self):
+        w = 1.0 / (0.015 * self.Y)
+        rates = np.array([3699015.3, 3699017.6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, sse, _ = inversion._linear_solve(self.T, self.Y, w, rates, -0.5, False, False)
+        assert not np.isfinite(sse)
+        u = inversion._params_from_rates(rates)
+        with np.errstate(over="ignore", invalid="ignore"):  # as fit_exponentials calls it
+            assert inversion._objective(u, self.T, self.Y, w, -0.5, False, False) == 1e30
+            assert inversion._objective(np.array([800.0, 0.0]), self.T, self.Y, w,
+                                        -0.5, False, False) == 1e30
 
 
 class TestConvergedFlag:

@@ -1,16 +1,27 @@
+import glob
+import json
+import os
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import temsphere as ts
+from temsphere import _io, inversion, modes as modes_mod, pipeline
 from temsphere.core import MU_0, ParameterError
 from temsphere.modes import (
     NumericalError,
     TruncationError,
+    _lommel,
     _residual_ok,
+    _sector_wavenumbers,
     eigencondition,
     eigencondition_derivative,
     normalization_constant,
+    sector_spectrum,
 )
 from temsphere.special import spherical_bessel_j
 
@@ -218,3 +229,137 @@ class TestModeLibrary:
                 max_l=1,
                 max_n=2,
             )
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.fixture
+def empty_spectra(monkeypatch):
+    """An empty spectrum cache for one test; the shared one is restored after."""
+    monkeypatch.setattr(modes_mod, "_spectra", OrderedDict())
+    monkeypatch.setattr(modes_mod, "_spectra_size", 0)
+    return modes_mod._spectra
+
+
+class TestSpectrumCache:
+    def test_prefix_equals_fresh_computation(self, empty_spectra):
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            l = int(rng.integers(1, 7))
+            mu_ratio = 1.0 if rng.uniform() < 0.3 else float(np.exp(rng.uniform(0, np.log(300))))
+            count = int(rng.integers(1, 400))
+            sector_spectrum(l, mu_ratio, count + int(rng.integers(1, 400)))
+            xs, radial = sector_spectrum(l, mu_ratio, count)
+            fresh = _sector_wavenumbers(l, mu_ratio, count)
+            assert xs.tobytes() == fresh.tobytes(), (l, mu_ratio, count)
+            assert radial.tobytes() == _lommel(l, fresh).tobytes(), (l, mu_ratio, count)
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(GOLDEN_DIR, "*", "modes.json"))),
+        ids=lambda p: os.path.basename(os.path.dirname(p)),
+    )
+    def test_warm_and_cold_libraries_match_golden(self, empty_spectra, monkeypatch, path):
+        recorded = ts.ModeLibrary.load(path)
+        args = (recorded.target, recorded.background_mu_r, recorded.max_l, recorded.max_n)
+        mu_ratio = recorded.target.material.relative_permeability / recorded.background_mu_r
+        with open(path, encoding="utf-8") as fh:
+            golden = fh.read()
+        for l in range(1, recorded.max_l + 1):
+            sector_spectrum(l, mu_ratio, 2 * recorded.max_n + 37)
+        warm = ts.build_mode_library(*args)
+        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 0)  # nothing is stored: every sector is cold
+        cold = ts.build_mode_library(*args)
+        assert json.dumps(warm.to_dict(), indent=1) + "\n" == golden
+        assert json.dumps(cold.to_dict(), indent=1) + "\n" == golden
+
+    def test_classify_rankings_identical_warm_and_cold(self, empty_spectra, monkeypatch,
+                                                       sample_config_dict):
+        candidates = []
+        for radius in (0.03, 0.05):
+            for mu_r in (1.0, 60.0):
+                cfg = json.loads(json.dumps(sample_config_dict))
+                cfg["target"].update(radius_m=radius, mu_r=mu_r)
+                cfg["options"]["max_n"] = 120
+                candidates.append((f"a{radius}-mu{mu_r}", _io.parse_config(cfg)))
+        gates = np.geomspace(1e-5, 1.0, 60)
+        data = ts.TimeSeries(gates, pipeline.forward_values(candidates[2][1], gates))
+        for mu_r in (1.0, 60.0):
+            sector_spectrum(1, mu_r, 500)
+        warm = inversion.classify_library(data, candidates, pipeline.forward_values)
+        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 0)
+        cold = inversion.classify_library(data, candidates, pipeline.forward_values)
+        assert warm.ranking == cold.ranking
+        assert warm.best == candidates[2][0]
+
+    def test_cached_arrays_are_read_only(self, empty_spectra, steel_sphere):
+        xs, radial = sector_spectrum(2, 200.0, 20)
+        for arr in (xs, radial, empty_spectra[(2, 200.0)][0]):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        lib = ts.build_mode_library(steel_sphere, 1.0, max_l=2, count_per_l=5)
+        assert all(not col.flags.writeable for col in lib.columns)
+        assert lib.rates is lib.columns[3]
+
+    def test_truncation_error_raised_on_hit(self, empty_spectra, aluminum_sphere):
+        ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=50)
+        with pytest.raises(TruncationError):
+            ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=10, x_max=10.0)
+        assert empty_spectra[(1, 1.0)][0].size == 50  # served from the stored entry
+        assert len(ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=3, x_max=10.0)) == 3
+
+    def test_size_never_exceeds_cap(self, empty_spectra, monkeypatch):
+        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 100)
+        for mu_ratio in (2.0, 3.0):
+            sector_spectrum(1, mu_ratio, 40)
+        sector_spectrum(1, 2.0, 10)  # a hit: (1, 2.0) becomes most recently used
+        sector_spectrum(1, 4.0, 40)  # evicts (1, 3.0), the least recently used
+        assert list(empty_spectra) == [(1, 2.0), (1, 4.0)]
+        sector_spectrum(1, 2.0, 70)  # grows (1, 2.0) to 70, evicting (1, 4.0)
+        assert list(empty_spectra) == [(1, 2.0)]
+        xs, _ = sector_spectrum(1, 5.0, 150)  # larger than the cap: computed, not stored
+        assert xs.size == 150 and (1, 5.0) not in empty_spectra
+        assert modes_mod._spectra_size == 70
+        assert sum(x.size for x, _ in empty_spectra.values()) == 70
+
+    def test_failed_sector_is_not_stored(self, empty_spectra, monkeypatch, steel_sphere):
+        monkeypatch.setattr(modes_mod, "_residual_ok", lambda l, x, mu: np.zeros(x.shape, bool))
+        with pytest.raises(NumericalError):
+            ts.find_decay_rates(steel_sphere, 1.0, l=1, count=5)
+        assert not empty_spectra and modes_mod._spectra_size == 0
+
+    def test_threads_keep_size_and_prefixes_consistent(self, empty_spectra, monkeypatch):
+        # cheap stand-in spectra under a small cap: nearly every call stores
+        # and evicts, so an unlocked update of the cache would show
+        def fake(l, mu_ratio, count, ladder=None):
+            return np.arange(1.0, count + 1) + 100 * l + mu_ratio
+
+        monkeypatch.setattr(modes_mod, "_sector_wavenumbers", fake)
+        monkeypatch.setattr(modes_mod, "_lommel", lambda l, x: -x)
+        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 12)
+        keys = [(l, float(mu)) for l in (1, 2) for mu in range(1, 13)]
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(8000):
+                key = keys[rng.integers(len(keys))]
+                count = int(rng.integers(1, 7))
+                xs, radial = sector_spectrum(*key, count)
+                if not (np.array_equal(xs, fake(*key, count)) and np.array_equal(radial, -xs)):
+                    errors.append((key, count))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        assert modes_mod._spectra_size == sum(x.size for x, _ in empty_spectra.values()) <= 12
