@@ -19,6 +19,10 @@ class ParameterError(ValueError):
     """Invalid physical parameter."""
 
 
+class NumericalError(RuntimeError):
+    """A numerical routine failed to converge."""
+
+
 @dataclass(frozen=True)
 class MaterialSpec:
     """Homogeneous material: dc conductivity (S/m) and relative permeability."""

@@ -31,11 +31,11 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .core import MU_0, MaterialSpec, ParameterError, TargetSpec, diffusivity
+from .core import MU_0, MaterialSpec, NumericalError, ParameterError, TargetSpec, diffusivity
 from .special import (
     _bessel_zero_ladder,
     _refine_roots,
@@ -46,10 +46,6 @@ from .special import (
 
 class TruncationError(RuntimeError):
     """Requested mode range exceeds the configured wavenumber window."""
-
-
-class NumericalError(RuntimeError):
-    """A numerical routine failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -189,6 +185,14 @@ def eigencondition_derivative(l: int, x, mu_ratio: float):
     )
 
 
+def _eigencondition_fdf(l: int, mu_ratio: float, x: np.ndarray) -> tuple:
+    """(F, F') from one pair of Bessel values, with c = l (1 - mu_ratio):
+    F = x j_(l-1) - c j_l and F' = (l - c) j_(l-1) + (c (l+1)/x - x) j_l."""
+    c = l * (1.0 - mu_ratio)
+    jm, jl = spherical_bessel_j(l - 1, x), spherical_bessel_j(l, x)
+    return x * jm - c * jl, (l - c) * jm + (c * (l + 1) / x - x) * jl
+
+
 def _residual_ok(l: int, x: np.ndarray, mu_ratio: float) -> np.ndarray:
     """Per root: |F(x)| within 1e-12 (scaled) or within its rounding floor 8 eps x |F'(x)|."""
     scale = 1.0 + abs(l * (1.0 - mu_ratio)) / np.maximum(x, 1.0)
@@ -218,12 +222,7 @@ def _sector_wavenumbers(l: int, mu_ratio: float, count: int, ladder=None) -> np.
         sign = np.sign(res)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         lo, hi = pts[flips], pts[flips + 1]
-        roots = _refine_roots(
-            lambda x: eigencondition(l, x, mu_ratio),
-            lambda x: eigencondition_derivative(l, x, mu_ratio),
-            lo,
-            hi,
-        )
+        roots = _refine_roots(partial(_eigencondition_fdf, l, mu_ratio), lo, hi)
         roots = np.sort(roots)
         roots = roots[roots > 1e-8][:count]
     if roots.size < count:
@@ -244,10 +243,10 @@ def _lommel(l: int, x):
 
 # Sector spectra by (l, mu_c/mu_b): the longest wavenumber array computed so
 # far and its Lommel integrals, read-only, least recently used first.  Root
-# brackets, bisection fixed points, Newton polish and Bessel values are all
-# per element, so the first n entries of a stored array equal a fresh n-root
-# computation bit for bit.  Bounded by the total number of wavenumbers held
-# (x and J together: about 2 MB).
+# brackets, Newton iterations and Bessel values are all per element, so the
+# first n entries of a stored array equal a fresh n-root computation bit for
+# bit.  Bounded by the total number of wavenumbers held (x and J together:
+# about 2 MB).
 _SPECTRUM_CAP = 1 << 17
 _spectra: OrderedDict = OrderedDict()
 _spectra_size = 0  # wavenumbers held in _spectra

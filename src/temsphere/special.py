@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import ParameterError
+from .core import NumericalError, ParameterError
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -133,29 +134,42 @@ def spherical_bessel_j_derivative(l: int, x) -> np.ndarray | float:
     return spherical_bessel_j(l - 1, xa) - (l + 1) / xa * spherical_bessel_j(l, xa)
 
 
-def _refine_roots(f, fprime, lo, hi, iters=80):
-    # Vectorized bisection followed by a few Newton steps.  Bisection stops once
-    # a pass leaves every bracket unchanged: each later pass would repeat it.
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        left = np.sign(fm) == np.sign(flo)
-        new_lo = np.where(left, mid, lo)
-        new_hi = np.where(left, hi, mid)
-        flo = np.where(left, fm, flo)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    root = 0.5 * (lo + hi)
-    for _ in range(3):
-        step = f(root) / fprime(root)
-        newroot = root - step
-        ok = (newroot > lo - 1.0) & (newroot < hi + 1.0)
-        root = np.where(ok, newroot, root)
-    return root
+def _refine_roots(fdf, lo, hi, max_iter=100):
+    """Roots of f in the sign-change brackets [lo, hi], by bracketed Newton.
+
+    ``fdf(x)`` returns ``(f(x), f'(x))``.  Each root starts at its bracket
+    midpoint; after every step the bracket shrinks to the side where f
+    changes sign, and a Newton step that lands outside the bracket (its ends
+    count as inside) is replaced by bisection.  A root stops on its own once
+    |step| <= 4 eps |x| or f = 0, so its value depends on its bracket alone.
+    Raises `NumericalError` if any root is still moving after ``max_iter``
+    steps.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    flo = fdf(lo)[0]
+    x = 0.5 * (lo + hi)
+    roots = np.empty_like(x)
+    todo = np.arange(x.size)
+    for _ in range(max_iter):
+        if todo.size == 0:
+            return roots
+        f, df = fdf(x)
+        left = np.sign(f) == np.sign(flo)
+        lo = np.where(left, x, lo)
+        hi = np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        newton = x - step
+        inside = (newton >= lo) & (newton <= hi)
+        done = (np.abs(step) <= 4.0 * np.finfo(float).eps * np.abs(x)) | (f == 0)
+        roots[todo[done]] = np.where(inside, newton, x)[done]
+        x = np.where(inside, newton, 0.5 * (lo + hi))
+        keep = ~done
+        todo, x, lo, hi, flo = todo[keep], x[keep], lo[keep], hi[keep], flo[keep]
+    if todo.size:
+        raise NumericalError(f"{todo.size} of {roots.size} roots did not converge in {max_iter} steps")
+    return roots
 
 
 def _bessel_zero_ladder(max_order: int, count: int) -> list:
@@ -165,11 +179,14 @@ def _bessel_zero_ladder(max_order: int, count: int) -> list:
     of j_0 are exactly n*pi; successive orders interlace, which guarantees
     every bracket contains exactly one zero.
     """
+
+    def fdf(k, x):
+        jk = spherical_bessel_j(k, x)
+        return jk, spherical_bessel_j(k - 1, x) - (k + 1) / x * jk
+
     ladder = [np.arange(1, count + max_order + 1) * np.pi]
     for k in range(1, max_order + 1):
-        f = lambda x, k=k: spherical_bessel_j(k, x)
-        fp = lambda x, k=k: spherical_bessel_j_derivative(k, x)
-        ladder.append(_refine_roots(f, fp, ladder[-1][:-1], ladder[-1][1:]))
+        ladder.append(_refine_roots(partial(fdf, k), ladder[-1][:-1], ladder[-1][1:]))
     return ladder
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from temsphere.core import ParameterError
+from temsphere.core import NumericalError, ParameterError
 from temsphere.special import (
+    _refine_roots,
     angular_grid,
     project_scalar,
     spherical_bessel_j,
@@ -59,6 +60,25 @@ class TestSphericalBessel:
             spherical_bessel_j(-1, 1.0)
         with pytest.raises(ParameterError):
             spherical_bessel_j(1, -1.0)
+
+
+class TestRefineRoots:
+    @staticmethod
+    def _j1(x):
+        j1 = spherical_bessel_j(1, x)
+        return j1, spherical_bessel_j(0, x) - 2.0 / x * j1
+
+    def test_budget_too_small_raises(self):
+        n = np.arange(1, 11)
+        with pytest.raises(NumericalError, match=r"^10 of 10 roots did not converge in 1 steps"):
+            _refine_roots(self._j1, n * np.pi, (n + 1) * np.pi, max_iter=1)
+        roots = _refine_roots(self._j1, n * np.pi, (n + 1) * np.pi, max_iter=8)
+        assert np.all(np.abs(spherical_bessel_j(1, roots)) < 1e-15)
+
+    def test_exact_zero_stops_at_once(self):
+        # f vanishes at the bracket midpoint: the root is returned unchanged
+        roots = _refine_roots(lambda x: (x - 2.0, np.ones_like(x)), [1.0, 0.5], [3.0, 3.5])
+        assert roots.tolist() == [2.0, 2.0]
 
 
 class TestScalarHarmonics:
