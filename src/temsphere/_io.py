@@ -102,6 +102,30 @@ def _integer(d: dict, path: str, lo: int, hi: float, default: int) -> int:
     return check_integer(path, _get(d, path, required=False, default=default), lo, hi)
 
 
+# keys each config section accepts ("" is the root); loops by kind
+_SECTION_KEYS = {
+    "": ("target", "background", "standoff_m", "pulse", "loops", "options"),
+    "target": ("radius_m", "resistivity_ohm_m", "mu_r"),
+    "background": ("resistivity_ohm_m", "mu_r"),
+    "pulse": ("base_current_a", "windings", "ramp", "tau_r_s", "t0_s", "table"),
+    "loops": ("transmitter", "receiver"),
+    "options": ("max_l", "max_n", "collapse_transient", "regime_tol"),
+}
+_LOOP_KEYS = {
+    "circular": ("kind", "radius_m", "height_m", "windings"),
+    "polygon": ("kind", "vertices_m", "windings"),
+    "uniform": ("kind", "amplitude_a_per_m"),
+}
+
+
+def _known_keys(node, path: str, allowed: tuple) -> None:
+    """Raise ConfigError naming the first key of dict ``node`` that ``allowed`` lacks."""
+    unknown = [key for key in node if key not in allowed] if isinstance(node, dict) else []
+    if unknown:
+        where = f"{path}.{unknown[0]}" if path else str(unknown[0])
+        raise ConfigError(where, f"unknown key (expected one of {', '.join(allowed)})")
+
+
 def _material(d: dict, prefix: str) -> MaterialSpec:
     rho = _number(d, f"{prefix}.resistivity_ohm_m", positive=True)
     mu = _number(d, f"{prefix}.mu_r", required=False, default=1.0)
@@ -112,6 +136,9 @@ def _material(d: dict, prefix: str) -> MaterialSpec:
 
 def _loop(d: dict, prefix: str) -> Loop:
     kind = _get(d, f"{prefix}.kind", required=False, default="circular")
+    if kind not in ("circular", "polygon"):
+        raise ConfigError(f"{prefix}.kind", f"unknown loop kind {kind!r}")
+    _known_keys(_get(d, prefix, required=False), prefix, _LOOP_KEYS[kind])
     if kind == "circular":
         return Loop(
             kind="circular",
@@ -119,17 +146,21 @@ def _loop(d: dict, prefix: str) -> Loop:
             height_m=_number(d, f"{prefix}.height_m", required=False, default=0.0),
             windings=_integer(d, f"{prefix}.windings", 1, math.inf, 1),
         )
-    if kind == "polygon":
-        return Loop(
-            kind="polygon",
-            vertices=_rows(_get(d, f"{prefix}.vertices_m"), f"{prefix}.vertices_m", 3),
-            windings=_integer(d, f"{prefix}.windings", 1, math.inf, 1),
-        )
-    raise ConfigError(f"{prefix}.kind", f"unknown loop kind {kind!r}")
+    return Loop(
+        kind="polygon",
+        vertices=_rows(_get(d, f"{prefix}.vertices_m"), f"{prefix}.vertices_m", 3),
+        windings=_integer(d, f"{prefix}.windings", 1, math.inf, 1),
+    )
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a config dict; errors name the offending schema path."""
+    """Validate a config dict; errors name the offending schema path.
+
+    Unknown keys are errors too, so a misspelled option is not silently
+    replaced by its default.
+    """
+    for path, allowed in _SECTION_KEYS.items():
+        _known_keys(_get(data, path, required=False) if path else data, path, allowed)
     try:
         target = TargetSpec(
             radius_m=_number(data, "target.radius_m", positive=True),
@@ -159,6 +190,8 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("pulse", str(exc)) from exc
     tx_kind = _get(data, "loops.transmitter.kind", required=False, default="circular")
     if tx_kind == "uniform":
+        tx_node = _get(data, "loops.transmitter", required=False)
+        _known_keys(tx_node, "loops.transmitter", _LOOP_KEYS["uniform"])
         tx = UniformField(
             amplitude_a_per_m=_number(
                 data, "loops.transmitter.amplitude_a_per_m", required=False, default=1.0
@@ -313,4 +346,7 @@ def build_manifest(command: str, config: dict, seed: int, inputs: dict, outputs:
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    """Strict JSON (RFC 8259): a NaN or infinite value raises ValueError."""
+    atomic_write_text(
+        path, json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    )

@@ -9,6 +9,7 @@ only in the manifest.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -265,7 +266,7 @@ def cmd_classify(args) -> int:
     report = {
         "ranking": [[name, misfit] for name, misfit in result.ranking],
         "best": result.best,
-        "margin": result.margin,
+        "margin": result.margin if math.isfinite(result.margin) else None,
         "seed": args.seed,
         "noise_rel": args.noise_rel,
         "free_gain": bool(args.free_gain),

@@ -156,6 +156,25 @@ class TestArgumentChecks:
         assert where in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "where", ["optoins", "options.max_m", "pulse.tau_r", "loops.receiver.vertices_m"]
+    )
+    def test_unknown_config_key_exit_2(self, tmp_path, sample_config_dict, capsys, where):
+        # "optoins" used to run silently with the default max_n of 500
+        cfg = json.loads(json.dumps(sample_config_dict))
+        *parents, leaf = where.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[leaf] = {"max_n": 10} if leaf == "optoins" else 1.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["modes", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{where}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSimulateCommand:
     def test_csv_monotone_and_early_power_law(self, tmp_path, config_path):
         out = tmp_path / "sim"
@@ -329,6 +348,39 @@ class TestFitAndClassify:
         assert result.returncode == 0, result.stderr
         report = json.loads((out / "classify.json").read_text())
         assert report["best"] == "aluminum_5cm"
+
+    @pytest.mark.parametrize("case", ["one-candidate", "zero-misfit"])
+    def test_classify_undefined_margin_is_null(self, tmp_path, sample_config_dict, case):
+        # the margin (second best - best) / best is undefined with one
+        # candidate or a best misfit of 0; it used to be written as the
+        # non-JSON token Infinity
+        def reject(token):
+            raise ValueError(f"{token} is not a JSON value")
+
+        cfg = json.loads(json.dumps(sample_config_dict))
+        cfg["options"]["max_n"] = 40
+        other = json.loads(json.dumps(cfg))
+        other["target"]["mu_r"] = 60.0
+        cfg_path = tmp_path / "a.json"
+        cfg_path.write_text(json.dumps(cfg))
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(sim),
+                         "--gates", "2e-3,1.0,30"]) == 0
+        candidates = [{"name": "other", "config": other}]
+        if case == "zero-misfit":
+            candidates.append({"name": "self", "config": cfg})
+        lib_path = tmp_path / "library.json"
+        lib_path.write_text(json.dumps({"candidates": candidates}))
+        out = tmp_path / "cls"
+        assert cli.main(["classify", "--data", str(sim / "simulate.csv"),
+                         "--library", str(lib_path), "--out", str(out)]) == 0
+        report = json.loads((out / "classify.json").read_text(), parse_constant=reject)
+        json.loads((out / "manifest_classify.json").read_text(), parse_constant=reject)
+        assert report["margin"] is None
+        if case == "zero-misfit":
+            assert report["ranking"][0] == ["self", 0.0]
+        else:
+            assert [name for name, _ in report["ranking"]] == ["other"]
 
     def test_classify_manifest_lists_rejected(self, tmp_path, sample_config_dict):
         cfg = json.loads(json.dumps(sample_config_dict))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -14,8 +15,11 @@ from temsphere._io import (
     config_hash,
     parse_config,
     read_timeseries_csv,
+    write_json,
     write_timeseries_csv,
 )
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 class TestConfigParsing:
@@ -132,6 +136,36 @@ class TestConfigParsing:
             parse_config(with_value(table_polygon_config, path, value))
         assert info.value.path == path
 
+    @pytest.mark.parametrize(
+        "path",
+        ["optoins", "options.max_m", "target.radius", "background.sigma", "pulse.tau_r",
+         "loops.transmiter", "loops.receiver.vertices_m", "loops.transmitter.radius_m",
+         "loops.transmitter.amplitude_a_per_m"],
+    )
+    def test_unknown_key_names_path(self, sample_config_dict, table_polygon_config, path):
+        # a misspelled key used to be ignored, and its default silently used;
+        # loop keys are checked per kind (the transmitter here is a polygon)
+        with pytest.raises(ConfigError, match="unknown key") as info:
+            parse_config(with_value(table_polygon_config, path, 1.0))
+        assert info.value.path == path
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(with_value(sample_config_dict, "loops.receiver.amplitude_a_per_m", 1.0))
+
+    @pytest.mark.parametrize("key", ["radius_m", "windings", "vertices_m"])
+    def test_unknown_key_of_uniform_transmitter(self, sample_config_dict, key):
+        cfg = with_value(sample_config_dict, "loops.transmitter",
+                         {"kind": "uniform", "amplitude_a_per_m": 2.0, key: 1})
+        with pytest.raises(ConfigError, match="unknown key") as info:
+            parse_config(cfg)
+        assert info.value.path == f"loops.transmitter.{key}"
+
+    def test_readme_example_parses(self):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        example = re.search(r"Example scenario config.*?```json\n(.*?)```", text, re.S).group(1)
+        config = parse_config(json.loads(example))
+        assert (config.max_l, config.max_n) == (1, 500)
+
     def test_table_and_vertices_kept(self, table_polygon_config):
         config = parse_config(table_polygon_config)
         assert config.pulse.table == ((0.0, 1.0), (1e-4, 0.4), (2e-4, 0.0))
@@ -200,6 +234,16 @@ def test_scalar_kept_exactly_or_rejected_by_path(table_polygon_config, path, val
             assert kept == config.pulse.t0_s
     else:
         assert type(kept) is int and type(value) is int and kept == value
+
+
+def test_write_json_rejects_non_finite(tmp_path):
+    # NaN and Infinity are not JSON tokens (RFC 8259): no file is written
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "out.json", {"margin": value})
+    assert not list(tmp_path.iterdir())
+    write_json(tmp_path / "out.json", {"margin": None})
+    assert json.loads((tmp_path / "out.json").read_text()) == {"margin": None}
 
 
 class TestCsv:
