@@ -168,7 +168,9 @@ def _refine_roots(fdf, lo, hi, max_iter=100):
         keep = ~done
         todo, x, lo, hi, flo = todo[keep], x[keep], lo[keep], hi[keep], flo[keep]
     if todo.size:
-        raise NumericalError(f"{todo.size} of {roots.size} roots did not converge in {max_iter} steps")
+        raise NumericalError(
+            f"{todo.size} of {roots.size} roots did not converge in {max_iter} steps"
+        )
     return roots
 
 

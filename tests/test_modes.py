@@ -15,6 +15,7 @@ from temsphere.core import MU_0, ParameterError
 from temsphere.modes import (
     NumericalError,
     TruncationError,
+    _eigencondition_fdf,
     _lommel,
     _residual_ok,
     _sector_wavenumbers,
@@ -40,6 +41,19 @@ class TestEigencondition:
         target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8, 1e7))
         modes = ts.find_decay_rates(target, 1.0, l=1, count=1)
         assert modes[0].x == pytest.approx(4.493409457909064, rel=1e-5)
+
+    @pytest.mark.parametrize("mu_ratio", [1.0, 1.57, 60.0, 300.0])
+    def test_newton_pair_matches_residual_and_derivative(self, mu_ratio):
+        # the root finish takes F and F' from one pair of Bessel values; F'
+        # agrees with the product rule to Bessel accuracy (measured <= 1e-14
+        # of x + |c|, the size of the coefficients)
+        x = np.linspace(0.5, 200.0, 4001)
+        for l in range(1, 8):
+            f, df = _eigencondition_fdf(l, mu_ratio, x)
+            assert np.array_equal(f, eigencondition(l, x, mu_ratio))
+            ref = eigencondition_derivative(l, x, mu_ratio)
+            scale = x + abs(l * (1.0 - mu_ratio))
+            assert np.all(np.abs(df - ref) <= 1e-13 * scale), l
 
     def test_sign_change_between_brackets(self):
         # residual is continuous across each bracket for mu ratio > 1
