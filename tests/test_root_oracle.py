@@ -14,8 +14,6 @@ import pytest
 from temsphere.modes import _sector_wavenumbers
 from temsphere.special import _bessel_zero_ladder
 
-mpmath.mp.dps = 40
-
 MU_RATIOS = (1.0, 1.1, 1.57, 3.0, 60.0, 178.0, 300.0)
 N_MAX = 3000
 DRAWS = 6
@@ -40,6 +38,7 @@ def _draws(rng):
 
 
 @pytest.mark.parametrize("mu_ratio", MU_RATIOS)
+@mpmath.workdps(40)
 def test_sector_roots_within_one_ulp(mu_ratio):
     rng = np.random.default_rng(int(1000 * mu_ratio))
     worst = []
@@ -52,6 +51,7 @@ def test_sector_roots_within_one_ulp(mu_ratio):
     assert max(worst)[0] <= 1.0, max(worst)
 
 
+@mpmath.workdps(40)
 def test_near_tie_golden_root_within_one_ulp():
     # polygon-step-l4-mu60, l=4, n=7: the true root sits 0.49 ulp from one
     # float and 0.51 ulp from the next, so either is acceptable
@@ -60,6 +60,7 @@ def test_near_tie_golden_root_within_one_ulp():
     assert _ulps(x, _eigen_root(4, 60.0, x)) <= 1.0
 
 
+@mpmath.workdps(40)
 def test_ladder_zeros_within_one_ulp():
     rng = np.random.default_rng(9)
     max_order = 8
