@@ -27,6 +27,7 @@ from .core import (
 )
 from .modes import (
     Mode,
+    ModeColumns,
     ModeLibrary,
     build_mode_library,
     eigencondition,

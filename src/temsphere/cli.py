@@ -81,7 +81,7 @@ def cmd_modes(args) -> int:
         outputs={"modes.json": file_digest(out_path)},
     )
     write_json(os.path.join(args.out, "manifest_modes.json"), manifest.to_dict())
-    print(f"wrote {out_path} ({len(library.modes)} modes)")
+    print(f"wrote {out_path} ({len(library)} modes)")
     return 0
 
 

@@ -104,7 +104,7 @@ def regime_boundaries(
     curve by at most ``tol``.  The decision never depends on the caller's
     gates.
     """
-    if len(library.modes) < 1:
+    if len(library) < 1:
         raise ParameterError("need at least one mode")
     rates = library.rates
     volts = coeffs.voltages
@@ -193,7 +193,7 @@ def crosscheck_amplitude(
     A fit residual above ``residual_threshold`` marks the comparison
     inconclusive rather than reporting a deviation.
     """
-    sectors = {m.l for m in library.modes}
+    sectors = set(library.columns.l.tolist())
     if len(sectors) != 1:
         raise ParameterError("crosscheck requires a single-sector (single-l) library")
     if early_amplitude == 0.0:
@@ -206,7 +206,7 @@ def crosscheck_amplitude(
     tau = np.geomspace(window[0] * tau_c, window[1] * tau_c, n_gates)
     series = synthesize_voltage(library, coeffs, tau)
     y = series.values * np.sqrt(tau)
-    count = max(template_count, 2 * len(library.modes))
+    count = max(template_count, 2 * len(library))
     xs, _ = sector_spectrum(l, mu_ratio, count)
     h2 = l * (mu_ratio - 1.0) * (l * (mu_ratio - 1.0) + 2.0 * l + 1.0)
     v = xs * xs / (xs * xs + h2)

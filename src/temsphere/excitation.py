@@ -22,14 +22,23 @@ loops and step-off drive every V_n is positive.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .core import MU_0, ParameterError, TargetSpec, diffusivity
 from .modes import Mode, ModeLibrary
-from .special import erfc, spherical_bessel_j, spherical_harmonic_dtheta, vector_spherical_harmonic
+from .special import (
+    _gauss_legendre,
+    erfc,
+    spherical_bessel_j,
+    spherical_harmonic_dtheta,
+    vector_spherical_harmonic,
+)
 
 
 @dataclass(frozen=True)
@@ -72,8 +81,9 @@ class Loop:
 
     Circular loops lie in a horizontal plane at ``height_m`` with the given
     ``radius_m`` and carry current in +phi for positive drive.  Polygonal
-    loops are closed vertex lists (n, 3) in meters.  ``windings`` counts
-    receiver turns N_R; transmitter turns belong to the pulse.
+    loops are closed vertex lists (n, 3) in meters, stored as a tuple of
+    float triples.  ``windings`` counts receiver turns N_R; transmitter
+    turns belong to the pulse.
     """
 
     kind: str = "circular"
@@ -87,6 +97,7 @@ class Loop:
             if self.radius_m <= 0:
                 raise ParameterError("circular loop needs radius > 0")
         elif self.kind == "polygon":
+            object.__setattr__(self, "vertices", _vertex_rows(self.vertices))
             if len(self.vertices) < 3:
                 raise ParameterError("polygon loop needs >= 3 vertices")
         else:
@@ -95,13 +106,40 @@ class Loop:
             raise ParameterError("windings must be >= 1")
 
     def min_distance_m(self) -> float:
+        return self._min_distance
+
+    @cached_property
+    def _min_distance(self) -> float:
+        """Closest approach to the origin, computed once per loop."""
         if self.kind == "circular":
             return float(np.hypot(self.radius_m, self.height_m))
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices)
         seg = np.roll(v, -1, axis=0) - v
         t = np.linspace(0.0, 1.0, 33)
         pts = v[:, None, :] + seg[:, None, :] * t[None, :, None]
         return float(np.min(np.linalg.norm(pts.reshape(-1, 3), axis=1)))
+
+
+def _vertex_rows(vertices) -> tuple:
+    """``vertices`` as a tuple of float triples; a row that is not three finite
+    real numbers raises `ParameterError` naming it."""
+    try:
+        rows = tuple(vertices)
+    except TypeError:
+        raise ParameterError("polygon vertices must be a sequence of (x, y, z) rows") from None
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            vals = tuple(row)
+        except TypeError:
+            vals = (row,)
+        if len(vals) != 3 or not all(
+            isinstance(c, numbers.Real) and not isinstance(c, bool) and math.isfinite(c)
+            for c in vals
+        ):
+            raise ParameterError(f"polygon vertex {i} must be 3 finite numbers, got {row!r}")
+        out.append(tuple(float(c) for c in vals))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -170,15 +208,39 @@ def pulse_history_integral(pulse: PulseWaveform, rate_per_s):
 # line integrals of exterior multipole fields
 
 
-def _polygon_quadrature(loop: Loop, order: int = 16):
-    v = np.asarray(loop.vertices, dtype=float)
+class _PolygonGeometry(NamedTuple):
+    """Gauss-Legendre nodes of a polygon loop in spherical coordinates, with
+    the dl element and the unit vectors e_theta, e_phi at each node."""
+
+    r: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    tangents: np.ndarray
+    e_theta: np.ndarray
+    e_phi: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _polygon_geometry(loop: Loop, order: int) -> _PolygonGeometry:
+    """Quadrature geometry of ``loop``, computed once per (loop, order); read-only."""
+    v = np.array(loop.vertices)
     seg = np.roll(v, -1, axis=0) - v
-    nodes, wts = leggauss(order)
+    nodes, wts = _gauss_legendre(order)
     t = 0.5 * (nodes + 1.0)
     pts = (v[:, None, :] + seg[:, None, :] * t[None, :, None]).reshape(-1, 3)
     # dl element per node: segment vector times half the Gauss weight
     tangents = (seg[:, None, :] * (0.5 * wts)[None, :, None]).reshape(-1, 3)
-    return pts, tangents
+    r = np.linalg.norm(pts, axis=1)
+    theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
+    phi = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    sin_p, cos_p = np.sin(phi), np.cos(phi)
+    e_theta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1)
+    e_phi = np.stack([-sin_p, cos_p, np.zeros_like(phi)], axis=1)
+    geom = _PolygonGeometry(r, theta, phi, tangents, e_theta, e_phi)
+    for arr in geom:
+        arr.flags.writeable = False
+    return geom
 
 
 def exterior_multipole_line_integral(
@@ -188,8 +250,8 @@ def exterior_multipole_line_integral(
 
     Circular coaxial loops are azimuthally symmetric, so only m = 0
     contributes and the phi integral is analytic.  Polygonal loops use
-    Gauss-Legendre quadrature per segment.  Loops touching the target are
-    rejected.
+    Gauss-Legendre quadrature per segment, on nodes computed once per
+    (loop, order).  Loops touching the target are rejected.
     """
     a = radius_m
     if loop.min_distance_m() <= a:
@@ -201,20 +263,13 @@ def exterior_multipole_line_integral(
         theta = np.arctan2(loop.radius_m, loop.height_m)
         xphi = -1j * spherical_harmonic_dtheta(l, 0, theta, 0.0) / np.sqrt(l * (l + 1.0))
         return complex(2.0 * np.pi * loop.radius_m * (a / r) ** (l + 1) * xphi)
-    pts, tangents = _polygon_quadrature(loop, order)
-    r = np.linalg.norm(pts, axis=1)
-    theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
-    phi = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
-    x = vector_spherical_harmonic(l, m, theta, phi)
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    sin_p, cos_p = np.sin(phi), np.cos(phi)
-    e_theta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1)
-    e_phi = np.stack([-sin_p, cos_p, np.zeros_like(phi)], axis=1)
-    vec = x[1][:, None] * e_theta + x[2][:, None] * e_phi
-    field_dot_dl = np.einsum("ij,ij->i", vec.real, tangents) + 1j * np.einsum(
-        "ij,ij->i", vec.imag, tangents
+    g = _polygon_geometry(loop, order)
+    x = vector_spherical_harmonic(l, m, g.theta, g.phi)
+    vec = x[1][:, None] * g.e_theta + x[2][:, None] * g.e_phi
+    field_dot_dl = np.einsum("ij,ij->i", vec.real, g.tangents) + 1j * np.einsum(
+        "ij,ij->i", vec.imag, g.tangents
     )
-    return complex(np.sum((a / r) ** (l + 1) * field_dot_dl))
+    return complex(np.sum((a / g.r) ** (l + 1) * field_dot_dl))
 
 
 def coil_line_integral(mode: Mode, loop: Loop, order: int = 16) -> complex:
@@ -289,10 +344,11 @@ def compute_excitation(
     all m.  For coaxial circular loops only m = 0 survives.  Geometry is
     computed once per (l, m); all else is an array expression over modes.
     """
-    if not library.modes:
+    if not len(library):
         raise ParameterError("mode library is empty")
     a = library.target.radius_m
-    ls, xs, norms, rates = library.columns
+    c = library.columns
+    ls, xs, norms, rates = c.l, c.x, c.norm, c.rate
     i_n = pulse_history_integral(pulse, rates)
     uniform = isinstance(tx, UniformField)
     shape = np.empty_like(xs)  # N j_l(x): the mode profile on the surface
@@ -329,7 +385,7 @@ def synthesize_voltage(
     caller shifted gates).  Metadata carries a per-gate truncation bound for
     the omitted spectral tail.
     """
-    if not library.modes:
+    if not len(library):
         raise ParameterError("mode library is empty")
     t = np.asarray(gates_s, dtype=float)
     if np.any(t <= 0):
@@ -355,7 +411,7 @@ def truncation_bound(library: ModeLibrary, coeffs: ExcitationCoefficients, t) ->
     a = library.target.radius_m
     d_c = diffusivity(library.target.material)
     tau_c = a * a / d_c
-    ls, xs, _, _ = library.columns
+    ls, xs = library.columns.l, library.columns.x
     out = np.zeros_like(t)
     for l in sorted(set(ls.tolist())):
         volts = coeffs.voltages[ls == l]

@@ -32,6 +32,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,40 +73,105 @@ class Mode:
             raise ParameterError("mode wavenumber and rate must be > 0")
 
 
-@dataclass(frozen=True)
+class ModeColumns(NamedTuple):
+    """Per-mode arrays of a `ModeLibrary`, in its rate order: sector degree
+    l, wavenumber x, normalization N, decay rate and radial index n."""
+
+    l: np.ndarray
+    x: np.ndarray
+    norm: np.ndarray
+    rate: np.ndarray
+    n: np.ndarray
+
+
+_COLUMN_DTYPES = ModeColumns(l=int, x=float, norm=float, rate=float, n=int)
+
+
 class ModeLibrary:
-    """Immutable, rate-ordered collection of modes for one target."""
+    """Immutable, rate-ordered collection of modes for one target.
 
-    target: TargetSpec
-    background_mu_r: float
-    modes: tuple
-    max_l: int
-    max_n: int
+    The modes are held as read-only `columns`; `Mode` objects are built only
+    when asked for (``modes``, ``sector``, iteration and indexing).  Every
+    mode has m = 0: the m degeneracy of the sphere is exact and summed by
+    the excitation.  ``ModeLibrary(target, mu_b, modes, max_l, max_n)``
+    takes a tuple of `Mode`; `from_columns` takes the arrays.
+    """
 
-    def __post_init__(self):
-        if np.any(np.diff(self.rates) < 0):
-            raise ParameterError("mode library must be sorted by decay rate")
-
-    def sector(self, l: int) -> list:
-        return [m for m in self.modes if m.l == l]
-
-    @cached_property
-    def columns(self) -> tuple:
-        """Read-only arrays (l, x, norm, decay rate) over the modes, built once."""
-        cols = tuple(
-            np.array([getattr(m, name) for m in self.modes])
-            for name in ("l", "x", "norm", "decay_rate_per_s")
+    def __init__(self, target: TargetSpec, background_mu_r: float, modes, max_l: int, max_n: int):
+        modes = tuple(modes)
+        if any(m.m != 0 for m in modes):
+            raise ParameterError("library modes are stored with m = 0")
+        columns = ModeColumns(
+            l=[m.l for m in modes],
+            x=[m.x for m in modes],
+            norm=[m.norm for m in modes],
+            rate=[m.decay_rate_per_s for m in modes],
+            n=[m.n for m in modes],
         )
+        self._set(target, background_mu_r, columns, max_l, max_n)
+        self.__dict__["modes"] = modes
+
+    @classmethod
+    def from_columns(
+        cls, target: TargetSpec, background_mu_r: float, columns: ModeColumns, max_l: int, max_n: int
+    ) -> "ModeLibrary":
+        """Library over copies of the ``columns`` arrays, which must be rate-sorted."""
+        lib = cls.__new__(cls)
+        lib._set(target, background_mu_r, columns, max_l, max_n)
+        return lib
+
+    def _set(self, target, background_mu_r, columns, max_l, max_n) -> None:
+        cols = ModeColumns(*(np.array(c, dtype=t) for c, t in zip(columns, _COLUMN_DTYPES)))
+        if any(c.ndim != 1 or c.size != cols.l.size for c in cols):
+            raise ParameterError("mode columns must be 1-D arrays of equal length")
+        if not (np.array_equal(cols.l, columns.l) and np.array_equal(cols.n, columns.n)):
+            raise ParameterError("mode indices l and n must be integers")
+        if not ((cols.l >= 1).all() and (cols.n >= 1).all()):
+            raise ParameterError("modes require l >= 1 and n >= 1")
+        if not ((cols.x > 0).all() and (cols.rate > 0).all()):
+            raise ParameterError("mode wavenumbers and rates must be > 0")
+        if (np.diff(cols.rate) < 0).any():
+            raise ParameterError("mode library must be sorted by decay rate")
         for col in cols:
             col.flags.writeable = False
-        return cols
+        self.__dict__.update(
+            target=target, background_mu_r=background_mu_r, columns=cols, max_l=max_l, max_n=max_n
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModeLibrary is immutable")
+
+    def __len__(self) -> int:
+        return self.columns.l.size
+
+    def __iter__(self):
+        return iter(self.modes)
+
+    def __getitem__(self, index):
+        return self.modes[index]
+
+    @cached_property
+    def modes(self) -> tuple:
+        """The modes as `Mode` objects, built on first use."""
+        c = self.columns
+        rows = zip(c.l.tolist(), c.n.tolist(), c.x.tolist(), c.rate.tolist(), c.norm.tolist())
+        a = self.target.radius_m
+        return tuple(
+            Mode(l=l, m=0, n=n, x=x, decay_rate_per_s=rate, norm=norm, radius_m=a)
+            for l, n, x, rate, norm in rows
+        )
+
+    def sector(self, l: int) -> list:
+        return [self.modes[i] for i in np.flatnonzero(self.columns.l == l)]
 
     @property
     def rates(self) -> np.ndarray:
-        return self.columns[3]
+        return self.columns.rate
 
     def to_dict(self) -> dict:
         mat = self.target.material
+        c = self.columns
+        rows = zip(c.l.tolist(), c.n.tolist(), c.x.tolist(), c.rate.tolist(), c.norm.tolist())
         return {
             "target": {
                 "radius_m": self.target.radius_m,
@@ -116,15 +182,8 @@ class ModeLibrary:
             "max_l": self.max_l,
             "max_n": self.max_n,
             "modes": [
-                {
-                    "l": m.l,
-                    "m": m.m,
-                    "n": m.n,
-                    "x": m.x,
-                    "lambda_per_s": m.decay_rate_per_s,
-                    "norm": m.norm,
-                }
-                for m in self.modes
+                {"l": l, "m": 0, "n": n, "x": x, "lambda_per_s": rate, "norm": norm}
+                for l, n, x, rate, norm in rows
             ],
         }
 
@@ -222,7 +281,7 @@ def _sector_wavenumbers(l: int, mu_ratio: float, count: int, ladder=None) -> np.
         sign = np.sign(res)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         lo, hi = pts[flips], pts[flips + 1]
-        roots = _refine_roots(partial(_eigencondition_fdf, l, mu_ratio), lo, hi)
+        roots = _refine_roots(partial(_eigencondition_fdf, l, mu_ratio), lo, hi, res[flips])
         roots = np.sort(roots)
         roots = roots[roots > 1e-8][:count]
     if roots.size < count:
@@ -318,12 +377,13 @@ def find_decay_rates(
     x_max: float | None = None,
     *,
     _ladder=None,
-) -> list:
+) -> ModeLibrary:
     """First ``count`` normalized modes of sector l, ascending decay rate.
 
-    ``_ladder`` shares one lazily built Bessel-zero ladder among
-    `build_mode_library`'s sectors; it saves work and never changes the
-    result.
+    Returned as a one-sector `ModeLibrary` (max_l = l, max_n = count), a
+    sequence of `Mode`.  ``_ladder`` shares one lazily built Bessel-zero
+    ladder among `build_mode_library`'s sectors; it saves work and never
+    changes the result.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
@@ -331,13 +391,14 @@ def find_decay_rates(
     xs, radial = sector_spectrum(l, mu_ratio, count, x_max, _ladder=_ladder)
     d_c = diffusivity(target.material)
     a = target.radius_m
-    rates = d_c * xs * xs / (a * a)
-    norms = normalization_constant(target, l, xs, radial)
-    columns = zip(xs.tolist(), rates.tolist(), norms.tolist())
-    return [
-        Mode(l=l, m=0, n=n, x=x, decay_rate_per_s=rate, norm=norm, radius_m=a)
-        for n, (x, rate, norm) in enumerate(columns, start=1)
-    ]
+    columns = ModeColumns(
+        l=np.full(count, l),
+        x=xs,
+        norm=normalization_constant(target, l, xs, radial),
+        rate=d_c * xs * xs / (a * a),
+        n=np.arange(1, count + 1),
+    )
+    return ModeLibrary.from_columns(target, background_mu_r, columns, max_l=l, max_n=count)
 
 
 def radial_profile(mode: Mode, r) -> np.ndarray | float:
@@ -411,14 +472,11 @@ def build_mode_library(
     """
     mu_ratio = target.material.relative_permeability / background_mu_r
     ladder = cache(lambda: _bessel_zero_ladder(max_l - (mu_ratio == 1.0), count_per_l + 2))
-    modes = []
-    for l in range(1, max_l + 1):
-        modes.extend(find_decay_rates(target, background_mu_r, l, count_per_l, _ladder=ladder))
-    modes.sort(key=lambda m: (m.decay_rate_per_s, m.l, m.n))
-    return ModeLibrary(
-        target=target,
-        background_mu_r=background_mu_r,
-        modes=tuple(modes),
-        max_l=max_l,
-        max_n=count_per_l,
-    )
+    sectors = [
+        find_decay_rates(target, background_mu_r, l, count_per_l, _ladder=ladder).columns
+        for l in range(1, max_l + 1)
+    ]
+    cols = ModeColumns(*map(np.concatenate, zip(*sectors)))
+    order = np.lexsort((cols.n, cols.l, cols.rate))  # by rate, then l, then n
+    columns = ModeColumns(*(col[order] for col in cols))
+    return ModeLibrary.from_columns(target, background_mu_r, columns, max_l, count_per_l)

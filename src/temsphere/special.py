@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -56,7 +56,7 @@ def _bessel_series(l: int, x: np.ndarray) -> np.ndarray:
     for k in range(1, 60):
         term = term * (-0.5 * x * x) / (k * (2 * l + 2 * k + 1))
         total += term
-        if np.all(np.abs(term) <= 1e-18 * np.abs(total) + 1e-300):
+        if (np.abs(term) <= 1e-18 * np.abs(total) + 1e-300).all():
             break
     return total
 
@@ -74,7 +74,7 @@ def _bessel_downward(l: int, x: np.ndarray) -> np.ndarray:
         if k - 1 == l:
             out = jc.copy()
         big = np.abs(jc) > 1e250
-        if np.any(big):
+        if big.any():
             jp[big] /= 1e250
             jc[big] /= 1e250
             if out is not None:
@@ -100,30 +100,36 @@ def spherical_bessel_j(l: int, x) -> np.ndarray | float:
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
-    if np.any(xa < 0):
+    if (xa < 0).any():
         raise ParameterError("argument must be >= 0")
-    out = np.empty_like(xa)
-    cut = max(0.5 * l, 0.5)
-    small = xa < cut
-    if np.any(small):
+    small = xa < max(0.5 * l, 0.5)
+    if not small.any():
+        out = _bessel_above_cut(l, xa)
+    else:
+        out = np.empty_like(xa)
         out[small] = _bessel_series(l, xa[small])
-    if np.any(~small):
-        xl = xa[~small]
-        if l == 0:
-            out[~small] = np.sin(xl) / xl
-        elif l == 1:
-            out[~small] = np.sin(xl) / xl**2 - np.cos(xl) / xl
-        elif l == 2:
-            out[~small] = (3.0 / xl**3 - 1.0 / xl) * np.sin(xl) - 3.0 / xl**2 * np.cos(xl)
-        else:
-            vals = np.empty_like(xl)
-            up = xl >= l  # upward recurrence is stable only in the oscillatory regime
-            if np.any(up):
-                vals[up] = _bessel_upward(l, xl[up])
-            if np.any(~up):
-                vals[~up] = _bessel_downward(l, xl[~up])
-            out[~small] = vals
+        large = ~small
+        if large.any():
+            out[large] = _bessel_above_cut(l, xa[large])
     return float(out[0]) if scalar else out
+
+
+def _bessel_above_cut(l: int, x: np.ndarray) -> np.ndarray:
+    # closed forms for l <= 2; recurrences beyond
+    if l == 0:
+        return np.sin(x) / x
+    if l == 1:
+        return np.sin(x) / x**2 - np.cos(x) / x
+    if l == 2:
+        return (3.0 / x**3 - 1.0 / x) * np.sin(x) - 3.0 / x**2 * np.cos(x)
+    up = x >= l  # upward recurrence is stable only in the oscillatory regime
+    if up.all():
+        return _bessel_upward(l, x)
+    vals = np.empty_like(x)
+    if up.any():
+        vals[up] = _bessel_upward(l, x[up])
+    vals[~up] = _bessel_downward(l, x[~up])
+    return vals
 
 
 def spherical_bessel_j_derivative(l: int, x) -> np.ndarray | float:
@@ -134,10 +140,11 @@ def spherical_bessel_j_derivative(l: int, x) -> np.ndarray | float:
     return spherical_bessel_j(l - 1, xa) - (l + 1) / xa * spherical_bessel_j(l, xa)
 
 
-def _refine_roots(fdf, lo, hi, max_iter=100):
+def _refine_roots(fdf, lo, hi, flo=None, max_iter=100):
     """Roots of f in the sign-change brackets [lo, hi], by bracketed Newton.
 
-    ``fdf(x)`` returns ``(f(x), f'(x))``.  Each root starts at its bracket
+    ``fdf(x)`` returns ``(f(x), f'(x))``; ``flo`` is f at ``lo`` (only its
+    sign is used), evaluated here when omitted.  Each root starts at its bracket
     midpoint; after every step the bracket shrinks to the side where f
     changes sign, and a Newton step that lands outside the bracket (its ends
     count as inside) is replaced by bisection.  A root stops on its own once
@@ -147,10 +154,11 @@ def _refine_roots(fdf, lo, hi, max_iter=100):
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    flo = fdf(lo)[0]
+    flo = fdf(lo)[0] if flo is None else np.asarray(flo, dtype=float)
     x = 0.5 * (lo + hi)
     roots = np.empty_like(x)
     todo = np.arange(x.size)
+    tol = 4.0 * np.finfo(float).eps
     for _ in range(max_iter):
         if todo.size == 0:
             return roots
@@ -162,7 +170,7 @@ def _refine_roots(fdf, lo, hi, max_iter=100):
             step = f / df
         newton = x - step
         inside = (newton >= lo) & (newton <= hi)
-        done = (np.abs(step) <= 4.0 * np.finfo(float).eps * np.abs(x)) | (f == 0)
+        done = (np.abs(step) <= tol * np.abs(x)) | (f == 0)
         roots[todo[done]] = np.where(inside, newton, x)[done]
         x = np.where(inside, newton, 0.5 * (lo + hi))
         keep = ~done
@@ -292,12 +300,30 @@ class AngularGrid:
 
 
 def angular_grid(n_theta: int = 32, n_phi: int = 64) -> AngularGrid:
-    nodes, wts = leggauss(n_theta)
+    """The (n_theta, n_phi) grid, built once per size; its arrays are read-only."""
+    return _angular_grid(n_theta, n_phi)
+
+
+@lru_cache(maxsize=8)
+def _angular_grid(n_theta: int, n_phi: int) -> AngularGrid:
+    nodes, wts = _gauss_legendre(n_theta)
     th = np.arccos(nodes)
     ph = np.arange(n_phi) * 2.0 * np.pi / n_phi
     th2, ph2 = np.meshgrid(th, ph, indexing="ij")
     w2 = np.outer(wts, np.full(n_phi, 2.0 * np.pi / n_phi))
-    return AngularGrid(theta=th2.ravel(), phi=ph2.ravel(), weights=w2.ravel())
+    grid = AngularGrid(theta=th2.ravel(), phi=ph2.ravel(), weights=w2.ravel())
+    for arr in (grid.theta, grid.phi, grid.weights):
+        arr.flags.writeable = False
+    return grid
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(order: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    nodes, wts = leggauss(order)
+    nodes.flags.writeable = False
+    wts.flags.writeable = False
+    return nodes, wts
 
 
 def project_scalar(values: np.ndarray, grid: AngularGrid, max_l: int) -> dict:

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 from dataclasses import replace
 
 import temsphere as ts
+from temsphere import excitation as ex
 from temsphere.core import ParameterError
 from temsphere.excitation import (
     coil_line_integral,
@@ -344,3 +345,58 @@ class TestTruncationBound:
         omitted = np.abs(v1000 - v500)
         bound = ts.truncation_bound(lib500, c500, gates)
         assert np.all(bound >= omitted)
+
+
+class TestLoopVertices:
+    def test_rows_stored_as_float_tuples(self):
+        loop = ts.Loop(kind="polygon",
+                       vertices=[[0.3, 0, 0.2], [0, 0.3, 0.2], np.array([-0.3, -0.3, 0.2])])
+        assert loop.vertices == ((0.3, 0.0, 0.2), (0.0, 0.3, 0.2), (-0.3, -0.3, 0.2))
+        assert all(type(c) is float for row in loop.vertices for c in row)
+        assert hash(loop) == hash(ts.Loop(kind="polygon", vertices=loop.vertices))
+
+    @pytest.mark.parametrize("row", [
+        [0.3, 0.3], [0.3, 0.3, 0.2, 1.0], [0.3, np.nan, 0.2], [0.3, 0.3, np.inf],
+        [True, 0.3, 0.2], ["0.3", 0.3, 0.2], 0.3, None],
+        ids=["2-col", "4-col", "nan", "inf", "bool", "string", "scalar", "none"])
+    def test_bad_row_named(self, row):
+        verts = [[0.3, 0.0, 0.2], row, [-0.3, -0.3, 0.2]]
+        with pytest.raises(ParameterError, match=r"^polygon vertex 1 must be 3 finite numbers"):
+            ts.Loop(kind="polygon", vertices=verts)
+
+    def test_non_sequence_rejected(self):
+        with pytest.raises(ParameterError, match="sequence"):
+            ts.Loop(kind="polygon", vertices=3.0)
+
+
+class TestPolygonGeometryCache:
+    A = 0.05
+
+    def test_repeat_call_bit_identical_and_cached(self):
+        ex._polygon_geometry.cache_clear()
+        keys = [(l, m) for l in (1, 3) for m in range(-l, l + 1)]
+        first = [exterior_multipole_line_integral(l, m, TRIANGLE, self.A) for l, m in keys]
+        info = ex._polygon_geometry.cache_info()
+        assert (info.misses, info.hits) == (1, 9)  # one geometry per (loop, order)
+        again = [exterior_multipole_line_integral(l, m, TRIANGLE, self.A) for l, m in keys]
+        assert [(v.real, v.imag) for v in again] == [(v.real, v.imag) for v in first]
+        ex._polygon_geometry.cache_clear()
+        fresh = exterior_multipole_line_integral(3, -2, TRIANGLE, self.A)
+        assert (fresh.real, fresh.imag) == (first[4].real, first[4].imag)
+
+    def test_geometry_read_only(self):
+        geom = ex._polygon_geometry(SQUARE, 16)
+        assert geom.r.shape == (4 * 16,) and geom.tangents.shape == (4 * 16, 3)
+        for arr in geom:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_cache_stays_within_bound(self):
+        bound = ex._polygon_geometry.cache_info().maxsize
+        for k in range(3 * bound):
+            loop = ts.Loop(kind="polygon", vertices=(
+                (0.3 + 0.01 * k, 0.0, 0.2), (0.0, 0.3, 0.2), (-0.3, -0.3, 0.2)))
+            exterior_multipole_line_integral(1, 0, loop, self.A)
+            assert ex._polygon_geometry.cache_info().currsize <= bound
+        assert ex._polygon_geometry.cache_info().currsize == bound

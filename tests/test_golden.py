@@ -24,7 +24,7 @@ import sys
 import numpy as np
 import pytest
 
-from temsphere import cli
+from temsphere import _io, cli, modes, pipeline
 from temsphere.core import MU_0
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -142,6 +142,21 @@ def test_golden_payloads(name, tmp_path):
     assert flags == ref_flags
     assert np.all(np.isfinite(values))
     np.testing.assert_allclose(values, ref_values, rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_forward_model_and_payloads_build_no_mode(name, tmp_path, monkeypatch):
+    # the library is read as columns end to end: no per-root Mode object
+    def built(self):
+        raise AssertionError(f"Mode built: {self}")
+
+    monkeypatch.setattr(modes.Mode, "__post_init__", built)
+    config, gates = CASES[name]
+    lo, hi, count = gates.split(",")
+    result = pipeline.forward_model(
+        _io.parse_config(config), np.geomspace(float(lo), float(hi), int(count)))
+    assert len(result.library) == config["options"]["max_l"] * config["options"]["max_n"]
+    run_case(name, str(tmp_path))
 
 
 def _assert_early_report(got, ref):

@@ -1,6 +1,8 @@
+import dataclasses
 import glob
 import json
 import os
+import pickle
 import sys
 import threading
 from collections import OrderedDict
@@ -377,3 +379,71 @@ class TestSpectrumCache:
         assert not any(th.is_alive() for th in threads)
         assert not errors
         assert modes_mod._spectra_size == sum(x.size for x, _ in empty_spectra.values()) <= 12
+
+
+class TestColumnLibrary:
+    def test_column_and_mode_built_libraries_agree(self, steel_sphere):
+        lib = ts.build_mode_library(steel_sphere, 1.0, max_l=3, count_per_l=20)
+        twin = ts.ModeLibrary(lib.target, lib.background_mu_r, lib.modes, lib.max_l, lib.max_n)
+        assert ts.ModeColumns._fields == ("l", "x", "norm", "rate", "n")
+        for col, other in zip(lib.columns, twin.columns):
+            assert col.dtype == other.dtype and col.tobytes() == other.tobytes()
+        for l in range(1, 4):
+            assert lib.sector(l) == twin.sector(l)
+            assert [m.n for m in lib.sector(l)] == list(range(1, 21))
+        assert json.dumps(lib.to_dict(), indent=1) == json.dumps(twin.to_dict(), indent=1)
+        assert len(lib) == len(twin) == 60
+        assert list(lib) == list(twin.modes) and lib[7] == twin[7]
+
+    def test_order_is_rate_then_sector_then_index(self, steel_sphere):
+        lib = ts.build_mode_library(steel_sphere, 1.0, max_l=4, count_per_l=30)
+        keys = [(m.decay_rate_per_s, m.l, m.n) for m in lib.modes]
+        assert keys == sorted(keys)
+
+    def test_find_decay_rates_is_one_sector_library(self, steel_sphere):
+        sector = ts.find_decay_rates(steel_sphere, 1.0, l=2, count=6)
+        assert isinstance(sector, ts.ModeLibrary)
+        assert (sector.max_l, sector.max_n, len(sector)) == (2, 6, 6)
+        assert sector.columns.l.tolist() == [2] * 6
+        assert sector.columns.n.tolist() == list(range(1, 7))
+        first, *_, last = sector
+        assert (first.n, last.n, first.m, first.radius_m) == (1, 6, 0, steel_sphere.radius_m)
+
+    @pytest.mark.parametrize("column, value", [
+        ("l", 0), ("n", 0), ("x", 0.0), ("x", np.nan), ("rate", -1.0), ("rate", np.nan)])
+    def test_invalid_column_rejected(self, steel_sphere, column, value):
+        cols = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=4).columns
+        bad = np.array(getattr(cols, column))
+        bad[0] = value
+        with pytest.raises(ParameterError):
+            ts.ModeLibrary.from_columns(
+                steel_sphere, 1.0, cols._replace(**{column: bad}), max_l=1, max_n=4)
+
+    def test_unsorted_and_ragged_columns_rejected(self, steel_sphere):
+        cols = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=4).columns
+        with pytest.raises(ParameterError, match="sorted by decay rate"):
+            ts.ModeLibrary.from_columns(
+                steel_sphere, 1.0, ts.ModeColumns(*(c[::-1] for c in cols)), 1, 4)
+        with pytest.raises(ParameterError, match="equal length"):
+            ts.ModeLibrary.from_columns(steel_sphere, 1.0, cols._replace(n=cols.n[:3]), 1, 4)
+        with pytest.raises(ParameterError, match="integers"):
+            ts.ModeLibrary.from_columns(steel_sphere, 1.0, cols._replace(l=cols.l + 0.5), 1, 4)
+
+    def test_mode_checks_still_apply(self, steel_sphere):
+        mode = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=1)[0]
+        for bad in ({"l": 0}, {"n": 0}, {"x": -1.0}, {"decay_rate_per_s": 0.0}, {"m": 2}):
+            with pytest.raises(ParameterError):
+                dataclasses.replace(mode, **bad)
+        with pytest.raises(ParameterError, match="m = 0"):
+            ts.ModeLibrary(steel_sphere, 1.0, (dataclasses.replace(mode, m=1),), 1, 1)
+
+    def test_library_is_immutable_and_copies_its_columns(self, steel_sphere):
+        cols = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=3).columns
+        x = np.array(cols.x)
+        lib = ts.ModeLibrary.from_columns(steel_sphere, 1.0, cols._replace(x=x), 1, 3)
+        x[0] = 99.0  # the caller's array is not the library's
+        assert lib.columns.x[0] == cols.x[0] and not lib.columns.x.flags.writeable
+        with pytest.raises(AttributeError):
+            lib.max_l = 2
+        copy = pickle.loads(pickle.dumps(lib))
+        assert json.dumps(copy.to_dict()) == json.dumps(lib.to_dict())

@@ -4,6 +4,8 @@ from scipy.special import spherical_jn
 
 from temsphere.core import NumericalError, ParameterError
 from temsphere.special import (
+    _angular_grid,
+    _gauss_legendre,
     _refine_roots,
     angular_grid,
     project_scalar,
@@ -75,10 +77,46 @@ class TestRefineRoots:
         roots = _refine_roots(self._j1, n * np.pi, (n + 1) * np.pi, max_iter=8)
         assert np.all(np.abs(spherical_bessel_j(1, roots)) < 1e-15)
 
+    def test_sign_from_caller_saves_one_evaluation(self):
+        # the bracket scan's residuals stand in for f(lo): same roots, bit for bit
+        n = np.arange(1, 40)
+        lo, hi = n * np.pi, (n + 1) * np.pi
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return self._j1(x)
+
+        own = _refine_roots(counted, lo, hi)
+        evaluations = len(calls)
+        given = _refine_roots(counted, lo, hi, self._j1(lo)[0])
+        assert given.tobytes() == own.tobytes()
+        assert len(calls) - evaluations == evaluations - 1
+
     def test_exact_zero_stops_at_once(self):
         # f vanishes at the bracket midpoint: the root is returned unchanged
         roots = _refine_roots(lambda x: (x - 2.0, np.ones_like(x)), [1.0, 0.5], [3.0, 3.5])
         assert roots.tolist() == [2.0, 2.0]
+
+
+class TestCachedGrids:
+    def test_angular_grid_built_once_and_read_only(self):
+        grid = angular_grid(10, 14)
+        assert angular_grid(10, 14) is grid
+        for arr in (grid.theta, grid.phi, grid.weights):
+            assert not arr.flags.writeable
+        assert np.sum(grid.weights) == pytest.approx(4.0 * np.pi, rel=1e-14)
+        nodes, wts = _gauss_legendre(7)
+        assert not nodes.flags.writeable and not wts.flags.writeable
+        assert _gauss_legendre(7)[0] is nodes
+
+    def test_caches_stay_within_bound(self):
+        for cache, call in ((_angular_grid, lambda k: angular_grid(4 + k, 8)),
+                            (_gauss_legendre, lambda k: _gauss_legendre(2 + k))):
+            bound = cache.cache_info().maxsize
+            for k in range(3 * bound):
+                call(k)
+                assert cache.cache_info().currsize <= bound
 
 
 class TestScalarHarmonics:
