@@ -150,15 +150,18 @@ class ModeLibrary:
     def __getitem__(self, index):
         return self.modes[index]
 
+    def _rows(self):
+        """(l, n, x, rate, norm) per mode, as Python numbers."""
+        c = self.columns
+        return zip(c.l.tolist(), c.n.tolist(), c.x.tolist(), c.rate.tolist(), c.norm.tolist())
+
     @cached_property
     def modes(self) -> tuple:
         """The modes as `Mode` objects, built on first use."""
-        c = self.columns
-        rows = zip(c.l.tolist(), c.n.tolist(), c.x.tolist(), c.rate.tolist(), c.norm.tolist())
         a = self.target.radius_m
         return tuple(
             Mode(l=l, m=0, n=n, x=x, decay_rate_per_s=rate, norm=norm, radius_m=a)
-            for l, n, x, rate, norm in rows
+            for l, n, x, rate, norm in self._rows()
         )
 
     def sector(self, l: int) -> list:
@@ -170,8 +173,6 @@ class ModeLibrary:
 
     def to_dict(self) -> dict:
         mat = self.target.material
-        c = self.columns
-        rows = zip(c.l.tolist(), c.n.tolist(), c.x.tolist(), c.rate.tolist(), c.norm.tolist())
         return {
             "target": {
                 "radius_m": self.target.radius_m,
@@ -183,7 +184,7 @@ class ModeLibrary:
             "max_n": self.max_n,
             "modes": [
                 {"l": l, "m": 0, "n": n, "x": x, "lambda_per_s": rate, "norm": norm}
-                for l, n, x, rate, norm in rows
+                for l, n, x, rate, norm in self._rows()
             ],
         }
 

@@ -299,13 +299,9 @@ class AngularGrid:
         return self.theta.size
 
 
+@lru_cache(maxsize=8)
 def angular_grid(n_theta: int = 32, n_phi: int = 64) -> AngularGrid:
     """The (n_theta, n_phi) grid, built once per size; its arrays are read-only."""
-    return _angular_grid(n_theta, n_phi)
-
-
-@lru_cache(maxsize=8)
-def _angular_grid(n_theta: int, n_phi: int) -> AngularGrid:
     nodes, wts = _gauss_legendre(n_theta)
     th = np.arccos(nodes)
     ph = np.arange(n_phi) * 2.0 * np.pi / n_phi

@@ -395,11 +395,6 @@ class TestColumnLibrary:
         assert len(lib) == len(twin) == 60
         assert list(lib) == list(twin.modes) and lib[7] == twin[7]
 
-    def test_order_is_rate_then_sector_then_index(self, steel_sphere):
-        lib = ts.build_mode_library(steel_sphere, 1.0, max_l=4, count_per_l=30)
-        keys = [(m.decay_rate_per_s, m.l, m.n) for m in lib.modes]
-        assert keys == sorted(keys)
-
     def test_find_decay_rates_is_one_sector_library(self, steel_sphere):
         sector = ts.find_decay_rates(steel_sphere, 1.0, l=2, count=6)
         assert isinstance(sector, ts.ModeLibrary)

@@ -4,7 +4,6 @@ from scipy.special import spherical_jn
 
 from temsphere.core import NumericalError, ParameterError
 from temsphere.special import (
-    _angular_grid,
     _gauss_legendre,
     _refine_roots,
     angular_grid,
@@ -111,7 +110,7 @@ class TestCachedGrids:
         assert _gauss_legendre(7)[0] is nodes
 
     def test_caches_stay_within_bound(self):
-        for cache, call in ((_angular_grid, lambda k: angular_grid(4 + k, 8)),
+        for cache, call in ((angular_grid, lambda k: angular_grid(4 + k, 8)),
                             (_gauss_legendre, lambda k: _gauss_legendre(2 + k))):
             bound = cache.cache_info().maxsize
             for k in range(3 * bound):
