@@ -33,7 +33,6 @@ from .modes import (
     eigencondition,
     find_decay_rates,
     radial_fd_decay_rates,
-    radial_profile,
 )
 from .excitation import (
     ExcitationCoefficients,
@@ -41,13 +40,10 @@ from .excitation import (
     PulseWaveform,
     TimeSeries,
     UniformField,
-    coil_line_integral,
     compute_excitation,
-    excitation_amplitude,
     pulse_history_integral,
     synthesize_voltage,
     truncation_bound,
-    voltage_coefficient,
 )
 from .earlytime import (
     EarlySignal,

@@ -28,10 +28,9 @@ from ._io import (
     write_json,
     write_timeseries_csv,
 )
-from .core import ParameterError, scales_for
+from .core import NumericalError, ParameterError, scales_for
 from .earlytime import early_voltage, surface_current_closed_form
 from .inversion import DecayModel, classify_library, fit_exponentials, fit_power_law
-from .modes import NumericalError, TruncationError
 from .pipeline import build_library, early_response, forward_model, forward_values, markers_for
 
 
@@ -187,10 +186,7 @@ def _write_field_scan(path, scan_spec, pipeline, markers, scales, config, gates)
     lines = ["r,theta,phi,t_s,dA,dB,dE"]
     for t in gates:
         tau = (t - markers.t_tr_s) / markers.tau_c_s
-        f = external_fields(
-            pipeline.dphi_prefactor, r / a, theta, phi, tau, pipeline.mu_b,
-            markers=markers,
-        )
+        f = external_fields(pipeline.dphi_prefactor, r / a, theta, phi, tau, pipeline.mu_b)
         da = float(np.linalg.norm(f.dA.ravel())) * scales.factor("a")
         db = float(np.linalg.norm(f.dB.ravel())) * scales.factor("b")
         de = float(np.linalg.norm(f.dE.ravel())) * scales.factor("e")
@@ -351,7 +347,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, TruncationError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except FileNotFoundError as exc:

@@ -32,6 +32,13 @@ from .earlytime import EarlySignal
 from .excitation import ExcitationCoefficients, TimeSeries, synthesize_voltage
 from .modes import ModeLibrary, sector_spectrum
 
+# crosscheck_amplitude: gate window in units of tau_c, gate count, least
+# template length and the largest fit residual of a conclusive comparison
+CROSSCHECK_WINDOW = (1.5e-5, 5e-4)
+CROSSCHECK_GATES = 40
+CROSSCHECK_TEMPLATE_COUNT = 800
+CROSSCHECK_RESIDUAL_MAX = 0.05
+
 
 @dataclass(frozen=True)
 class RegimeReport:
@@ -177,20 +184,17 @@ def crosscheck_amplitude(
     coeffs: ExcitationCoefficients,
     early_amplitude: float,
     markers: TimeMarkers,
-    window: tuple = (1.5e-5, 5e-4),
-    n_gates: int = 40,
-    template_count: int = 800,
-    residual_threshold: float = 0.05,
 ) -> CrosscheckResult:
     """Compare the mode-sum power-law amplitude against the early-time one.
 
     Requires a single-sector library (one l).  The mode voltage is
-    synthesized on log gates across ``window`` (in units of tau_c), then a
-    scale factor is fitted against the spectral template built from an
-    extended wavenumber ladder (the cached sector spectrum); the template's
+    synthesized on `CROSSCHECK_GATES` log gates across `CROSSCHECK_WINDOW`
+    (in units of tau_c), then a scale factor is fitted against the spectral
+    template built from an extended wavenumber ladder (the cached sector
+    spectrum, at least `CROSSCHECK_TEMPLATE_COUNT` roots); the template's
     t -> 0 amplitude converts the scale to the asymptotic
     c_mode = fit * sqrt(tau_c) / (2 sqrt(pi)).
-    A fit residual above ``residual_threshold`` marks the comparison
+    A fit residual above `CROSSCHECK_RESIDUAL_MAX` marks the comparison
     inconclusive rather than reporting a deviation.
     """
     sectors = set(library.columns.l.tolist())
@@ -203,10 +207,11 @@ def crosscheck_amplitude(
         library.target.material.relative_permeability / library.background_mu_r
     )
     tau_c = markers.tau_c_s
-    tau = np.geomspace(window[0] * tau_c, window[1] * tau_c, n_gates)
+    lo, hi = CROSSCHECK_WINDOW
+    tau = np.geomspace(lo * tau_c, hi * tau_c, CROSSCHECK_GATES)
     series = synthesize_voltage(library, coeffs, tau)
     y = series.values * np.sqrt(tau)
-    count = max(template_count, 2 * len(library))
+    count = max(CROSSCHECK_TEMPLATE_COUNT, 2 * len(library))
     xs, _ = sector_spectrum(l, mu_ratio, count)
     h2 = l * (mu_ratio - 1.0) * (l * (mu_ratio - 1.0) + 2.0 * l + 1.0)
     v = xs * xs / (xs * xs + h2)
@@ -222,5 +227,5 @@ def crosscheck_amplitude(
         mode_amplitude=float(mode_amplitude),
         early_amplitude=float(early_amplitude),
         fit_residual=residual,
-        conclusive=residual <= residual_threshold,
+        conclusive=residual <= CROSSCHECK_RESIDUAL_MAX,
     )

@@ -117,8 +117,8 @@ class RegimeCheck:
 class ScaleSystem:
     """Nondimensionalization scales: (length, time, field) = (a, a^2/D_c, H_0).
 
-    Derived scale factors convert between SI values and the dimensionless
-    internal quantities used by the spectral modules:
+    ``factor(kind)`` is the SI value of one internal unit of each kind used
+    by the spectral modules (SI = internal * factor):
 
     =================  =======================
     kind               SI scale
@@ -161,12 +161,6 @@ class ScaleSystem:
             return table[kind]
         except KeyError:
             raise ParameterError(f"unknown quantity kind {kind!r}") from None
-
-    def to_internal(self, value, kind: str):
-        return value / self.factor(kind)
-
-    def to_physical(self, value, kind: str):
-        return value * self.factor(kind)
 
 
 def diffusivity(material: MaterialSpec) -> float:

@@ -81,8 +81,7 @@ class EarlyTimeField:
 
     Vectors are complex spherical components (r, theta, phi), summed over
     the retained harmonics; physically real scenarios leave a negligible
-    imaginary part.  ``in_window`` records whether the elapsed time lies in
-    the validity window (well past the transient, well before tau_c).
+    imaginary part.
     """
 
     r: np.ndarray
@@ -92,8 +91,6 @@ class EarlyTimeField:
     dA: np.ndarray
     dB: np.ndarray
     dE: np.ndarray
-    window: tuple
-    in_window: bool
 
 
 @dataclass(frozen=True)
@@ -392,21 +389,6 @@ def exterior_potential_correction(
     return solve_exterior_neumann(bdata, 1.0, mu_b)
 
 
-def potential_decay_prefactor(l: int, mu_c: float, mu_b: float) -> float:
-    """Closed-form phi_l(t)/sqrt(t-t_tr) per unit interior amplitude.
-
-    phi_l(t) = (mu_c l / (mu_b a)) (1 + l mu_c/((l+1) mu_b))
-               sqrt(4 D_c (t-t_tr)/pi),
-    in internal units (a = D_c = 1); the exterior correction per unit
-    interior amplitude is +phi_l (a/r)^(l+1) Y_lm (decaying trapped flux).
-    """
-    return (
-        (mu_c * l / mu_b)
-        * (1.0 + l * mu_c / ((l + 1.0) * mu_b))
-        * np.sqrt(4.0 / np.pi)
-    )
-
-
 def external_fields(
     dphi_prefactor: PotentialExpansion,
     r,
@@ -414,7 +396,6 @@ def external_fields(
     phi,
     elapsed: float,
     mu_b: float,
-    markers: TimeMarkers | None = None,
 ) -> EarlyTimeField:
     """Exterior field corrections (Delta_A, Delta_B, Delta_E) at points.
 
@@ -452,20 +433,7 @@ def external_fields(
         dA[1] += amp * x[1]
         dA[2] += amp * x[2]
     dE = -dA / (2.0 * elapsed)
-    if markers is not None:
-        tau_c = markers.tau_c_s
-        lo = TRANSIENT_GUARD * markers.tau_tr_s
-        hi = WINDOW_FRACTION * tau_c
-        # elapsed is internal (units tau_c); compare in the same units
-        window = (lo / tau_c, hi / tau_c)
-        in_window = window[0] <= elapsed <= window[1]
-    else:
-        window = (0.0, WINDOW_FRACTION)
-        in_window = elapsed <= window[1]
-    return EarlyTimeField(
-        r=ra, theta=th, phi=ph, elapsed=elapsed, dA=dA, dB=dB, dE=dE,
-        window=window, in_window=bool(in_window),
-    )
+    return EarlyTimeField(r=ra, theta=th, phi=ph, elapsed=elapsed, dA=dA, dB=dB, dE=dE)
 
 
 # ---------------------------------------------------------------------------

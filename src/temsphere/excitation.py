@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import MU_0, ParameterError, TargetSpec, diffusivity
-from .modes import Mode, ModeLibrary
+from .modes import ModeLibrary
 from .special import (
     _gauss_legendre,
     erfc,
@@ -39,6 +39,8 @@ from .special import (
     spherical_harmonic_dtheta,
     vector_spherical_harmonic,
 )
+
+LINE_INTEGRAL_ORDER = 16  # Gauss-Legendre nodes per polygon segment
 
 
 @dataclass(frozen=True)
@@ -243,15 +245,13 @@ def _polygon_geometry(loop: Loop, order: int) -> _PolygonGeometry:
     return geom
 
 
-def exterior_multipole_line_integral(
-    l: int, m: int, loop: Loop, radius_m: float, order: int = 16
-) -> complex:
+def exterior_multipole_line_integral(l: int, m: int, loop: Loop, radius_m: float) -> complex:
     """Line integral oint (a/r)^(l+1) X_lm . dl along the loop, in meters.
 
     Circular coaxial loops are azimuthally symmetric, so only m = 0
     contributes and the phi integral is analytic.  Polygonal loops use
-    Gauss-Legendre quadrature per segment, on nodes computed once per
-    (loop, order).  Loops touching the target are rejected.
+    `LINE_INTEGRAL_ORDER`-point Gauss-Legendre quadrature per segment, on
+    nodes computed once per loop.  Loops touching the target are rejected.
     """
     a = radius_m
     if loop.min_distance_m() <= a:
@@ -263,19 +263,13 @@ def exterior_multipole_line_integral(
         theta = np.arctan2(loop.radius_m, loop.height_m)
         xphi = -1j * spherical_harmonic_dtheta(l, 0, theta, 0.0) / np.sqrt(l * (l + 1.0))
         return complex(2.0 * np.pi * loop.radius_m * (a / r) ** (l + 1) * xphi)
-    g = _polygon_geometry(loop, order)
+    g = _polygon_geometry(loop, LINE_INTEGRAL_ORDER)
     x = vector_spherical_harmonic(l, m, g.theta, g.phi)
     vec = x[1][:, None] * g.e_theta + x[2][:, None] * g.e_phi
     field_dot_dl = np.einsum("ij,ij->i", vec.real, g.tangents) + 1j * np.einsum(
         "ij,ij->i", vec.imag, g.tangents
     )
     return complex(np.sum((a / g.r) ** (l + 1) * field_dot_dl))
-
-
-def coil_line_integral(mode: Mode, loop: Loop, order: int = 16) -> complex:
-    """oint a_n . dl of the exterior mode profile along one loop winding."""
-    geom = exterior_multipole_line_integral(mode.l, mode.m, loop, mode.radius_m, order)
-    return mode.norm * spherical_bessel_j(mode.l, mode.x) * geom
 
 
 def _uniform_field_amplitude(target: TargetSpec, mu_b: float, h0: float, l, m, x, norm):
@@ -297,31 +291,6 @@ def _uniform_field_amplitude(target: TargetSpec, mu_b: float, h0: float, l, m, x
     radial = spherical_bessel_j(2, x) / x  # int_0^1 j_1(x u) u^3 du
     w_proj = -MU_0 * sigma * norm * (b_in / 2.0) * np.sqrt(8.0 * np.pi / 3.0) * a**4 * radial
     return np.where((l == 1) & (m == 0), 1j * w_proj, 0.0)
-
-
-def excitation_amplitude(mode: Mode, pulse: PulseWaveform, tx, target: TargetSpec | None = None, background_mu_r: float = 1.0) -> complex:
-    """Excitation amplitude A_n for one mode.
-
-    For a transmitter loop: A_n = mu_0 I_n conj(oint a_n . dl).  For a
-    uniform-field source the equivalent static projection is used, scaled
-    by lambda_n I_n / I0 so that ramped terminations are honored (the
-    factor is 1 for step-off).
-    """
-    i_n = pulse_history_integral(pulse, mode.decay_rate_per_s)
-    if isinstance(tx, UniformField):
-        if target is None:
-            raise ParameterError("uniform-field excitation needs the target spec")
-        beta = _uniform_field_amplitude(
-            target, background_mu_r, tx.amplitude_a_per_m, mode.l, mode.m, mode.x, mode.norm
-        )
-        return beta * mode.decay_rate_per_s * i_n / pulse.effective_current_a
-    return MU_0 * i_n * np.conj(coil_line_integral(mode, tx))
-
-
-def voltage_coefficient(mode: Mode, amplitude: complex, rx: Loop) -> float:
-    """Receiver-voltage coefficient V_n = lambda_n N_R A_n oint a_n . dl."""
-    val = mode.decay_rate_per_s * rx.windings * amplitude * coil_line_integral(mode, rx)
-    return float(_real_voltage(val))
 
 
 def _real_voltage(val):
@@ -416,7 +385,7 @@ def truncation_bound(library: ModeLibrary, coeffs: ExcitationCoefficients, t) ->
     for l in sorted(set(ls.tolist())):
         volts = coeffs.voltages[ls == l]
         vbar = np.max(np.abs(volts[-max(1, volts.size // 4):]))
-        x_max = np.max(xs[ls == l])
-        u = x_max * np.sqrt(t / tau_c)
+        x_top = np.max(xs[ls == l])
+        u = x_top * np.sqrt(t / tau_c)
         out += 2.0 * vbar * np.sqrt(np.pi) * erfc(u) / (2.0 * np.pi * np.sqrt(t / tau_c))
     return out

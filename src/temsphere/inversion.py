@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterError
+from .core import NumericalError, ParameterError
 from .excitation import TimeSeries
-from .modes import NumericalError, TruncationError
 
 
 @dataclass(frozen=True)
@@ -303,7 +302,7 @@ def classify_library(
     for name, config in candidates:
         try:
             m = np.asarray(forward(config, t), dtype=float)
-        except (ParameterError, NumericalError, TruncationError) as exc:
+        except (ParameterError, NumericalError) as exc:
             failures.append((name, type(exc).__name__, str(exc)))
             continue
         if free_gain:

@@ -37,16 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import MU_0, MaterialSpec, NumericalError, ParameterError, TargetSpec, diffusivity
-from .special import (
-    _bessel_zero_ladder,
-    _refine_roots,
-    spherical_bessel_j,
-    spherical_bessel_j_derivative,
-)
-
-
-class TruncationError(RuntimeError):
-    """Requested mode range exceeds the configured wavenumber window."""
+from .special import _bessel_zero_ladder, _refine_roots, spherical_bessel_j
 
 
 @dataclass(frozen=True)
@@ -236,15 +227,6 @@ def eigencondition(l: int, x, mu_ratio: float):
     return xa * spherical_bessel_j(l - 1, xa) - l * (1.0 - mu_ratio) * spherical_bessel_j(l, xa)
 
 
-def eigencondition_derivative(l: int, x, mu_ratio: float):
-    xa = np.asarray(x, dtype=float)
-    return (
-        spherical_bessel_j(l - 1, xa)
-        + xa * spherical_bessel_j_derivative(l - 1, xa)
-        - l * (1.0 - mu_ratio) * spherical_bessel_j_derivative(l, xa)
-    )
-
-
 def _eigencondition_fdf(l: int, mu_ratio: float, x: np.ndarray) -> tuple:
     """(F, F') from one pair of Bessel values, with c = l (1 - mu_ratio):
     F = x j_(l-1) - c j_l and F' = (l - c) j_(l-1) + (c (l+1)/x - x) j_l."""
@@ -254,10 +236,14 @@ def _eigencondition_fdf(l: int, mu_ratio: float, x: np.ndarray) -> tuple:
 
 
 def _residual_ok(l: int, x: np.ndarray, mu_ratio: float) -> np.ndarray:
-    """Per root: |F(x)| within 1e-12 (scaled) or within its rounding floor 8 eps x |F'(x)|."""
+    """Per root: |F(x)| within 1e-12 (scaled) or within its rounding floor 8 eps x |F'(x)|.
+
+    F and F' come from `_eigencondition_fdf`, the pair the Newton finish uses.
+    """
+    f, df = _eigencondition_fdf(l, mu_ratio, x)
     scale = 1.0 + abs(l * (1.0 - mu_ratio)) / np.maximum(x, 1.0)
-    floor = 8.0 * np.finfo(float).eps * x * np.abs(eigencondition_derivative(l, x, mu_ratio))
-    return np.abs(eigencondition(l, x, mu_ratio)) <= np.maximum(1e-12 * scale, floor)
+    floor = 8.0 * np.finfo(float).eps * x * np.abs(df)
+    return np.abs(f) <= np.maximum(1e-12 * scale, floor)
 
 
 def _sector_wavenumbers(l: int, mu_ratio: float, count: int, ladder=None) -> np.ndarray:
@@ -313,9 +299,7 @@ _spectra_size = 0  # wavenumbers held in _spectra
 _spectra_lock = threading.Lock()
 
 
-def sector_spectrum(
-    l: int, mu_ratio: float, count: int, x_max: float | None = None, *, _ladder=None
-) -> tuple:
+def sector_spectrum(l: int, mu_ratio: float, count: int, *, _ladder=None) -> tuple:
     """First ``count`` wavenumbers x_n of sector l and their Lommel integrals J(x_n).
 
     Both arrays are read-only views into the process-wide spectrum cache.
@@ -335,12 +319,7 @@ def sector_spectrum(
         for arr in entry:
             arr.flags.writeable = False
         _store_spectrum(key, entry)
-    xs, radial = entry[0][:count], entry[1][:count]
-    if x_max is not None and xs[-1] > x_max:
-        raise TruncationError(
-            f"root {xs[-1]:.3f} exceeds configured x_max={x_max:.3f} for l={l}"
-        )
-    return xs, radial
+    return entry[0][:count], entry[1][:count]
 
 
 def _store_spectrum(key, entry) -> None:
@@ -375,7 +354,6 @@ def find_decay_rates(
     background_mu_r: float,
     l: int,
     count: int,
-    x_max: float | None = None,
     *,
     _ladder=None,
 ) -> ModeLibrary:
@@ -389,7 +367,7 @@ def find_decay_rates(
     if count < 1:
         raise ParameterError("count must be >= 1")
     mu_ratio = target.material.relative_permeability / background_mu_r
-    xs, radial = sector_spectrum(l, mu_ratio, count, x_max, _ladder=_ladder)
+    xs, radial = sector_spectrum(l, mu_ratio, count, _ladder=_ladder)
     d_c = diffusivity(target.material)
     a = target.radius_m
     columns = ModeColumns(
@@ -400,21 +378,6 @@ def find_decay_rates(
         n=np.arange(1, count + 1),
     )
     return ModeLibrary.from_columns(target, background_mu_r, columns, max_l=l, max_n=count)
-
-
-def radial_profile(mode: Mode, r) -> np.ndarray | float:
-    """Radial mode profile f(r) = N j_l(x r/a), continued as (a/r)^(l+1) outside."""
-    ra = np.asarray(r, dtype=float)
-    scalar = ra.ndim == 0
-    ra = np.atleast_1d(ra)
-    a, x, l = mode.radius_m, mode.x, mode.l
-    out = np.empty_like(ra)
-    inside = ra <= a
-    out[inside] = spherical_bessel_j(l, x * ra[inside] / a)
-    surface = spherical_bessel_j(l, x)
-    out[~inside] = surface * (a / ra[~inside]) ** (l + 1)
-    out *= mode.norm
-    return float(out[0]) if scalar else out
 
 
 def radial_fd_decay_rates(

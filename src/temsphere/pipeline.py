@@ -119,9 +119,7 @@ def forward_model(
     report = regime_boundaries(library, coeffs, markers, signal, config.regime_tol)
     composite = compose_response(mode_ts, early_ts, report)
     regime_guard = validate_regime(markers, config.regime_tol)
-    quality = _gate_quality(
-        gates, markers, signal, mode_ts.metadata["truncation_bound"], composite
-    )
+    quality = _gate_quality(gates, signal, mode_ts.metadata["truncation_bound"], composite)
     composite.metadata.update(
         {
             "quality": quality,
@@ -142,12 +140,12 @@ def forward_model(
     )
 
 
-def _gate_quality(gates, markers, signal, bound, composite) -> np.ndarray:
+def _gate_quality(gates, signal, bound, composite) -> np.ndarray:
     """Per-gate flags 'ok', 'transient' (before the early law's validity
-    window) or 'truncated' (mode-sum tail ``bound``)."""
-    elapsed = gates - markers.t0_s
+    window, timed from the signal's t_ref as `early_voltage` does) or
+    'truncated' (mode-sum tail ``bound``)."""
     flags = np.full(gates.shape, "ok", dtype="<U9")
-    flags[elapsed < signal.window_s[0]] = "transient"
+    flags[gates - signal.t_ref_s < signal.window_s[0]] = "transient"
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = bound > 0.01 * np.abs(composite.values)
     flags[bad & (flags == "ok")] = "truncated"

@@ -132,14 +132,6 @@ def _bessel_above_cut(l: int, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def spherical_bessel_j_derivative(l: int, x) -> np.ndarray | float:
-    """d/dx j_l(x) via j_l' = j_{l-1} - (l+1)/x j_l (and j_0' = -j_1)."""
-    xa = np.asarray(x, dtype=float)
-    if l == 0:
-        return -spherical_bessel_j(1, xa)
-    return spherical_bessel_j(l - 1, xa) - (l + 1) / xa * spherical_bessel_j(l, xa)
-
-
 def _refine_roots(fdf, lo, hi, flo=None, max_iter=100):
     """Roots of f in the sign-change brackets [lo, hi], by bracketed Newton.
 
@@ -198,13 +190,6 @@ def _bessel_zero_ladder(max_order: int, count: int) -> list:
     for k in range(1, max_order + 1):
         ladder.append(_refine_roots(partial(fdf, k), ladder[-1][:-1], ladder[-1][1:]))
     return ladder
-
-
-def spherical_bessel_j_zeros(l: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of j_l, by interlacing recursion."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    return _bessel_zero_ladder(l, count)[l][:count]
 
 
 # ---------------------------------------------------------------------------

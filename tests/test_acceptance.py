@@ -20,7 +20,6 @@ from temsphere.earlytime import (
     early_signal,
     external_fields,
     interior_normal_h,
-    potential_decay_prefactor,
     surface_current_closed_form,
 )
 from temsphere.special import (
@@ -28,6 +27,8 @@ from temsphere.special import (
     spherical_harmonic_dtheta,
     vector_spherical_harmonic,
 )
+
+from oracles import potential_decay_prefactor
 
 
 def report(number, ok, detail):

@@ -266,6 +266,35 @@ class TestEarlyCommand:
         assert np.allclose(de * np.sqrt(t), de[0] * np.sqrt(t[0]), rtol=1e-9)
         assert np.allclose(da / np.sqrt(t), da[0] / np.sqrt(t[0]), rtol=1e-9)
 
+    def test_transient_flags_agree_with_simulate(self, tmp_path, sample_config_dict):
+        # with the background transient kept, the early window opens 10
+        # tau_tr after t_tr = t0 + tau_tr; simulate.csv must time its
+        # 'transient' flag from the same reference as early.csv
+        cfg = json.loads(json.dumps(sample_config_dict))
+        cfg["options"]["collapse_transient"] = False
+        cfg["options"]["max_n"] = 80
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        tau_tr = 0.5**2 * 4e-7 * np.pi / 10.0  # standoff^2 mu_0 sigma_b
+        gates = f"{1.5 * tau_tr!r},{100 * tau_tr!r},60"
+        for command in ("simulate", "early"):
+            code = cli.main([command, "--config", str(path), "--out", str(tmp_path / command),
+                             "--gates", gates])
+            assert code == 0
+
+        def transient(csv_path):
+            lines = csv_path.read_text().splitlines()
+            column = lines[0].split(",").index("quality")
+            rows = [line.split(",") for line in lines[1:]]
+            return np.array([float(r[0]) for r in rows]), [r[column] == "transient" for r in rows]
+
+        t, sim = transient(tmp_path / "simulate" / "simulate.csv")
+        t_early, early = transient(tmp_path / "early" / "early.csv")
+        assert np.array_equal(t, t_early)
+        assert np.any((t >= 10 * tau_tr) & (t < 11 * tau_tr))  # where the references differ
+        assert sim == early
+        assert early == list(t - tau_tr < 10 * tau_tr)
+
 
 class TestFitAndClassify:
     def make_data(self, tmp_path, seed=0, noise=0.01):

@@ -85,10 +85,16 @@ def test_validate_regime_threshold_domain():
     ["length", "time", "rate", "field", "potential", "b", "a", "e", "voltage"],
 )
 def test_scale_round_trip(aluminum_sphere, kind):
+    # factor(kind) is the SI value of one internal unit of each kind
     scales = ts.scales_for(aluminum_sphere, field_a_per_m=3.7)
-    value = 0.123456789
-    back = scales.to_physical(scales.to_internal(value, kind), kind)
-    assert back == pytest.approx(value, rel=1e-12)
+    a, h = aluminum_sphere.radius_m, 3.7
+    t = a * a / ts.diffusivity(aluminum_sphere.material)
+    expected = {
+        "length": a, "time": t, "rate": 1.0 / t, "field": h, "potential": h * a,
+        "b": ts.MU_0 * h, "a": ts.MU_0 * h * a, "e": ts.MU_0 * h * a / t,
+        "voltage": ts.MU_0 * h * a * a / t,
+    }[kind]
+    assert scales.factor(kind) == pytest.approx(expected, rel=1e-14)
 
 
 def test_scaling_invariance_dimensionless_outputs(aluminum):

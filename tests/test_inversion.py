@@ -7,7 +7,7 @@ import temsphere as ts
 from temsphere.core import ParameterError
 from temsphere import _io, inversion, pipeline
 from temsphere.inversion import DecayModel
-from temsphere.modes import NumericalError, TruncationError
+from temsphere.modes import NumericalError
 
 
 def noisy(values, rel, seed):
@@ -233,7 +233,7 @@ class TestClassifyLibrary:
     def test_typed_errors_reject_candidate(self):
         t = np.geomspace(1e-3, 1.0, 10)
         data = ts.TimeSeries(times_s=t, values=self.forward((1.0, 3.0), t))
-        errors = {"p": ParameterError, "n": NumericalError, "t": TruncationError}
+        errors = {"p": ParameterError, "n": NumericalError}
 
         def forward(config, times):
             if config in errors:
@@ -243,8 +243,7 @@ class TestClassifyLibrary:
         candidates = [("a", (1.0, 3.0)), *((name, name) for name in errors), ("b", (1.0, 6.0))]
         result = ts.classify_library(data, candidates, forward)
         assert [name for name, _ in result.ranking] == ["a", "b"]
-        assert result.rejected == (
-            ("p", "ParameterError"), ("n", "NumericalError"), ("t", "TruncationError"))
+        assert result.rejected == (("p", "ParameterError"), ("n", "NumericalError"))
 
     def test_other_errors_propagate(self):
         # a bug in the forward model is not a reason to drop a candidate

@@ -12,21 +12,21 @@ import pytest
 from scipy.integrate import quad
 
 import temsphere as ts
-from temsphere import _io, inversion, modes as modes_mod, pipeline
+from temsphere import _io, inversion, modes as modes_mod, pipeline, special
 from temsphere.core import MU_0, ParameterError
 from temsphere.modes import (
     NumericalError,
-    TruncationError,
     _eigencondition_fdf,
     _lommel,
     _residual_ok,
     _sector_wavenumbers,
     eigencondition,
-    eigencondition_derivative,
     normalization_constant,
     sector_spectrum,
 )
 from temsphere.special import spherical_bessel_j
+
+from oracles import eigencondition_derivative, radial_profile
 
 
 class TestEigencondition:
@@ -80,10 +80,6 @@ class TestFindDecayRates:
             scale = 1.0 + abs(1 - mu_ratio) / max(m.x, 1.0)
             assert abs(eigencondition(1, m.x, mu_ratio)) < 1e-12 * scale
 
-    def test_truncation_error(self, aluminum_sphere):
-        with pytest.raises(TruncationError):
-            ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=10, x_max=10.0)
-
     def test_spacing_approaches_pi(self, aluminum_sphere, steel_sphere):
         # nonmagnetic: spacing is exactly pi; permeable: approaches pi like
         # (mu-1)/(pi n^2) from below
@@ -103,6 +99,22 @@ class TestFindDecayRates:
         tau_c = steel_sphere.radius_m**2 / ts.diffusivity(steel_sphere.material)
         assert all(m.decay_rate_per_s > 0 for m in modes)
         assert 1.0 < modes[0].decay_rate_per_s * tau_c < 30.0
+
+
+class TestResidualGate:
+    def test_one_bessel_pair_per_sector(self, monkeypatch):
+        # the gate takes F and F' from the Newton pair: j_(l-1) and j_l once each
+        roots = _sector_wavenumbers(2, 60.0, 50)
+        calls = []
+
+        def counted(l, x):
+            calls.append(l)
+            return spherical_bessel_j(l, x)
+
+        for module in (modes_mod, special):
+            monkeypatch.setattr(module, "spherical_bessel_j", counted)
+        assert _residual_ok(2, roots, 60.0).all()
+        assert sorted(calls) == [1, 2]
 
 
 class TestModeCountCeiling:
@@ -156,32 +168,32 @@ class TestRadialFdOracle:
 class TestProfilesAndNormalization:
     def test_profile_zero_at_center(self, aluminum_sphere):
         mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1)[0]
-        assert ts.radial_profile(mode, 0.0) == 0.0
+        assert radial_profile(mode, 0.0) == 0.0
 
     def test_profile_continuous_at_surface(self, steel_sphere):
         mode = ts.find_decay_rates(steel_sphere, 1.0, l=2, count=1)[0]
         a = steel_sphere.radius_m
-        inner = ts.radial_profile(mode, a * (1 - 1e-13))
-        outer = ts.radial_profile(mode, a * (1 + 1e-13))
+        inner = radial_profile(mode, a * (1 - 1e-13))
+        outer = radial_profile(mode, a * (1 + 1e-13))
         assert inner == pytest.approx(outer, rel=1e-10)
 
     def test_profile_exterior_decay(self, aluminum_sphere):
         mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1)[0]
         a = aluminum_sphere.radius_m
-        assert ts.radial_profile(mode, 4 * a) == pytest.approx(
-            ts.radial_profile(mode, 2 * a) / 4.0, rel=1e-12
+        assert radial_profile(mode, 4 * a) == pytest.approx(
+            radial_profile(mode, 2 * a) / 4.0, rel=1e-12
         )
 
     def test_radial_orthogonality(self, aluminum_sphere):
         m1, m2 = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=2)
         a = aluminum_sphere.radius_m
         val, _ = quad(
-            lambda r: ts.radial_profile(m1, r) * ts.radial_profile(m2, r) * r * r,
+            lambda r: radial_profile(m1, r) * radial_profile(m2, r) * r * r,
             0.0,
             a,
             limit=200,
         )
-        norm1, _ = quad(lambda r: ts.radial_profile(m1, r) ** 2 * r * r, 0, a, limit=200)
+        norm1, _ = quad(lambda r: radial_profile(m1, r) ** 2 * r * r, 0, a, limit=200)
         assert abs(val) / norm1 < 1e-8
 
     @pytest.mark.parametrize("mu_ratio", [1.0, 200.0])
@@ -192,7 +204,7 @@ class TestProfilesAndNormalization:
         a = target.radius_m
         sigma = material.conductivity_s_per_m
         r = np.linspace(0, a, 20001)
-        profiles = np.array([ts.radial_profile(m, r) for m in modes])
+        profiles = np.array([radial_profile(m, r) for m in modes])
         gram = MU_0 * sigma * np.trapezoid(
             profiles[:, None, :] * profiles[None, :, :] * r * r, r, axis=2
         )
@@ -318,12 +330,11 @@ class TestSpectrumCache:
         assert all(not col.flags.writeable for col in lib.columns)
         assert lib.rates is lib.columns[3]
 
-    def test_truncation_error_raised_on_hit(self, empty_spectra, aluminum_sphere):
+    def test_shorter_request_served_from_stored_entry(self, empty_spectra, aluminum_sphere):
         ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=50)
-        with pytest.raises(TruncationError):
-            ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=10, x_max=10.0)
+        ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=10)
         assert empty_spectra[(1, 1.0)][0].size == 50  # served from the stored entry
-        assert len(ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=3, x_max=10.0)) == 3
+        assert len(ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=3)) == 3
 
     def test_size_never_exceeds_cap(self, empty_spectra, monkeypatch):
         monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 100)

@@ -4,12 +4,12 @@ from scipy.special import spherical_jn
 
 from temsphere.core import NumericalError, ParameterError
 from temsphere.special import (
+    _bessel_zero_ladder,
     _gauss_legendre,
     _refine_roots,
     angular_grid,
     project_scalar,
     spherical_bessel_j,
-    spherical_bessel_j_zeros,
     spherical_harmonic,
     spherical_harmonic_dtheta,
     vector_spherical_harmonic,
@@ -27,7 +27,7 @@ class TestSphericalBessel:
         assert spherical_bessel_j(0, 0.0) == 1.0
 
     def test_first_zero_of_j1(self):
-        z = spherical_bessel_j_zeros(1, 1)[0]
+        z = _bessel_zero_ladder(1, 1)[1][0]
         assert z == pytest.approx(4.493409457909064, abs=1e-10)
         assert abs(spherical_bessel_j(1, z)) < 1e-13
 
@@ -51,8 +51,8 @@ class TestSphericalBessel:
             assert np.max(np.abs(res)) < 1e-10
 
     def test_zero_counts_and_interlacing(self):
-        z2 = spherical_bessel_j_zeros(2, 10)
-        z3 = spherical_bessel_j_zeros(3, 10)
+        ladder = _bessel_zero_ladder(3, 10)
+        z2, z3 = ladder[2][:10], ladder[3][:10]
         assert np.all(np.diff(z2) > 0)
         assert np.all(z3[:9] > z2[:9]) and np.all(z3[:9] < z2[1:10])
 
