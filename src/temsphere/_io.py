@@ -13,7 +13,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -222,13 +221,17 @@ def parse_config(data: dict) -> RunConfig:
     )
 
 
-def load_config(path: str) -> RunConfig:
+def read_json(path: str, where: str):
+    """Parsed JSON file; a decode error raises ConfigError at ``where``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
-    return parse_config(data)
+            raise ConfigError(where, f"invalid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> RunConfig:
+    return parse_config(read_json(path, "<root>"))
 
 
 def config_hash(data: dict) -> str:
@@ -261,21 +264,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_timeseries_csv(path: str, series: TimeSeries, extra_columns: dict | None = None) -> None:
-    """CSV with header t_s,value[,...]; shortest-round-trip decimals."""
-    cols = {"t_s": series.times_s, "value": series.values}
-    for name, arr in (extra_columns or {}).items():
-        cols[name] = arr
-    header = ",".join(cols)
-    lines = [header]
-    n = series.times_s.size
-    for i in range(n):
-        cells = []
-        for arr in cols.values():
-            v = arr[i]
-            cells.append(_fmt(v) if isinstance(v, (float, np.floating)) else str(v))
-        lines.append(",".join(cells))
+def write_csv(path: str, columns: dict) -> None:
+    """CSV of equal-length ``columns`` under a header of their names; floats
+    as shortest-round-trip decimals, other cells as ``str``."""
+    lines = [",".join(columns)] + [
+        ",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+        for row in zip(*columns.values())
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_timeseries_csv(path: str, series: TimeSeries, extra_columns: dict | None = None) -> None:
+    """CSV with header t_s,value[,...] (see `write_csv`)."""
+    write_csv(path, {"t_s": series.times_s, "value": series.values, **(extra_columns or {})})
 
 
 def read_timeseries_csv(path: str) -> TimeSeries:
@@ -307,42 +308,19 @@ def read_timeseries_csv(path: str) -> TimeSeries:
         raise DataError(2, str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def build_manifest(command: str, config: dict, seed: int, inputs: dict, outputs: dict) -> dict:
     """Reproducibility record for one CLI invocation."""
-
-    command: str
-    config_sha256: str
-    tool_version: str
-    seed: int
-    created_utc: str
-    inputs: dict
-    outputs: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_sha256": self.config_sha256,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "created_utc": self.created_utc,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-
-
-def build_manifest(command: str, config: dict, seed: int, inputs: dict, outputs: dict) -> RunManifest:
     from . import __version__
 
-    return RunManifest(
-        command=command,
-        config_sha256=config_hash(config),
-        tool_version=__version__,
-        seed=seed,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-        inputs=inputs,
-        outputs=outputs,
-    )
+    return {
+        "command": command,
+        "config_sha256": config_hash(config),
+        "tool_version": __version__,
+        "seed": seed,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+        "inputs": inputs,
+        "outputs": outputs,
+    }
 
 
 def write_json(path: str, payload: dict) -> None:

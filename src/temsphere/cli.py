@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -24,12 +25,15 @@ from ._io import (
     check_integer,
     file_digest,
     load_config,
+    parse_config,
+    read_json,
     read_timeseries_csv,
+    write_csv,
     write_json,
     write_timeseries_csv,
 )
 from .core import NumericalError, ParameterError, scales_for
-from .earlytime import early_voltage, surface_current_closed_form
+from .earlytime import early_voltage, external_fields, surface_current_closed_form
 from .inversion import DecayModel, classify_library, fit_exponentials, fit_power_law
 from .pipeline import build_library, early_response, forward_model, forward_values, markers_for
 
@@ -56,8 +60,6 @@ def _parse_window(spec: str) -> tuple:
 
 
 def _apply_overrides(config, args):
-    from dataclasses import replace
-
     for name, flag in (("max_l", "--max-l"), ("max_n", "--max-n")):
         value = getattr(args, name, None)
         if value is not None:
@@ -66,54 +68,55 @@ def _apply_overrides(config, args):
     return config
 
 
+def _publish(args, command: str, payloads: dict, record: dict, inputs: dict,
+             note: str = "", **extra) -> int:
+    """Write the payloads and ``manifest_<command>.json`` under ``--out``.
+
+    Commands call this once every payload is computed, so a command that
+    fails writes nothing.  ``payloads`` maps file name to a writer taking
+    the file's path, ``inputs`` maps input name to its path, ``record`` is
+    the config hashed into the manifest and ``extra`` adds manifest fields.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    outputs = {}
+    for name, write in payloads.items():
+        path = os.path.join(args.out, name)
+        write(path)
+        outputs[name] = file_digest(path)
+    digests = {name: file_digest(path) for name, path in inputs.items()}
+    manifest = build_manifest(command, record, args.seed, inputs=digests, outputs=outputs)
+    write_json(os.path.join(args.out, f"manifest_{command}.json"), {**manifest, **extra})
+    first = os.path.join(args.out, next(iter(payloads)))
+    print(f"wrote {first} ({note})" if note else f"wrote {first}")
+    return 0
+
+
 def cmd_modes(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     library = build_library(config)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "modes.json")
-    library.save(out_path)
-    manifest = build_manifest(
-        "modes",
-        config.raw,
-        args.seed,
-        inputs={"config": file_digest(args.config)},
-        outputs={"modes.json": file_digest(out_path)},
-    )
-    write_json(os.path.join(args.out, "manifest_modes.json"), manifest.to_dict())
-    print(f"wrote {out_path} ({len(library)} modes)")
-    return 0
+    return _publish(args, "modes", {"modes.json": library.save}, config.raw,
+                    {"config": args.config}, f"{len(library)} modes")
 
 
 def cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     gates = _parse_gates(args.gates)
-    result = forward_model(config, gates)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "simulate.csv")
-    write_timeseries_csv(
-        out_path,
-        result.composite,
-        extra_columns={
-            "regime": result.composite.metadata["regime"],
-            "quality": result.composite.metadata["quality"],
-        },
+    composite = forward_model(config, gates).composite
+    columns = {name: composite.metadata[name] for name in ("regime", "quality")}
+    return _publish(
+        args, "simulate",
+        {"simulate.csv": lambda path: write_timeseries_csv(path, composite, columns)},
+        config.raw, {"config": args.config}, f"{gates.size} gates",
     )
-    manifest = build_manifest(
-        "simulate",
-        config.raw,
-        args.seed,
-        inputs={"config": file_digest(args.config)},
-        outputs={"simulate.csv": file_digest(out_path)},
-    )
-    write_json(os.path.join(args.out, "manifest_simulate.json"), manifest.to_dict())
-    print(f"wrote {out_path} ({gates.size} gates)")
-    return 0
 
 
 def cmd_early(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
+    gates = _parse_gates(args.gates) if args.gates else None
+    if args.scan and gates is None:
+        raise ConfigError("--scan", "field scans need --gates")
+    point = _parse_scan(args.scan, config.target.radius_m) if args.scan else None
     markers = markers_for(config)
-    scales = scales_for(config.target)
     pipeline, signal = early_response(config, markers)
     report = {
         "amplitude_v_sqrt_s": signal.amplitude_v_sqrt_s,
@@ -122,7 +125,7 @@ def cmd_early(args) -> int:
         "harmonics": {},
     }
     for (l, m) in sorted(pipeline.dphi_prefactor.decaying):
-        entry = {
+        report["harmonics"][f"{l},{m}"] = {
             "illumination": _c2l(pipeline.illumination.growing.get((l, m), 0.0)),
             "static_interior": _c2l(pipeline.static.interior.get((l, m), 0.0)),
             "static_induced": _c2l(pipeline.static.decaying.get((l, m), 0.0)),
@@ -131,39 +134,18 @@ def cmd_early(args) -> int:
             "surface_current_unit_closed_form": _c2l(
                 surface_current_closed_form(l, pipeline.mu_c, pipeline.mu_b)
             ),
-            "potential_prefactor_per_sqrt": _c2l(
-                pipeline.dphi_prefactor.decaying[(l, m)]
-            ),
+            "potential_prefactor_per_sqrt": _c2l(pipeline.dphi_prefactor.decaying[(l, m)]),
             "voltage_term_v_sqrt_s": _c2l(signal.per_harmonic.get((l, m), 0.0)),
         }
-        report["harmonics"][f"{l},{m}"] = entry
-    os.makedirs(args.out, exist_ok=True)
-    out_json = os.path.join(args.out, "early.json")
-    write_json(out_json, report)
-    outputs = {"early.json": file_digest(out_json)}
-    if args.gates:
-        gates = _parse_gates(args.gates)
-        series = early_voltage(signal, gates, markers)
-        out_csv = os.path.join(args.out, "early.csv")
-        write_timeseries_csv(
-            out_csv, series, extra_columns={"quality": series.metadata["quality"]}
-        )
-        outputs["early.csv"] = file_digest(out_csv)
-    if args.scan:
-        if not args.gates:
-            raise ConfigError("--scan", "field scans need --gates")
-        out_scan = os.path.join(args.out, "early_scan.csv")
-        _write_field_scan(
-            out_scan, args.scan, pipeline, markers, scales, config, _parse_gates(args.gates)
-        )
-        outputs["early_scan.csv"] = file_digest(out_scan)
-    manifest = build_manifest(
-        "early", config.raw, args.seed,
-        inputs={"config": file_digest(args.config)}, outputs=outputs,
-    )
-    write_json(os.path.join(args.out, "manifest_early.json"), manifest.to_dict())
-    print(f"wrote {out_json}")
-    return 0
+    payloads = {"early.json": lambda path: write_json(path, report)}
+    if gates is not None:
+        series = early_voltage(signal, gates)
+        quality = {"quality": series.metadata["quality"]}
+        payloads["early.csv"] = lambda path: write_timeseries_csv(path, series, quality)
+    if point is not None:
+        scan = _field_scan(point, gates, pipeline, markers, config.target)
+        payloads["early_scan.csv"] = lambda path: write_csv(path, scan)
+    return _publish(args, "early", payloads, config.raw, {"config": args.config})
 
 
 def _c2l(value) -> list:
@@ -171,37 +153,37 @@ def _c2l(value) -> list:
     return [c.real, c.imag]
 
 
-def _write_field_scan(path, scan_spec, pipeline, markers, scales, config, gates):
-    """Exterior field magnitudes at one point over the gates (SI units)."""
-    from ._io import _fmt, atomic_write_text
-    from .earlytime import external_fields
-
+def _parse_scan(spec: str, radius_m: float) -> tuple:
     try:
-        r, theta, phi = (float(x) for x in scan_spec.split(","))
+        r, theta, phi = (float(x) for x in spec.split(","))
     except ValueError:
         raise ConfigError("--scan", "expected r,theta,phi (m, rad, rad)")
-    a = config.target.radius_m
-    if r <= a:
+    if r <= radius_m:
         raise ConfigError("--scan", "scan point must lie outside the target")
-    lines = ["r,theta,phi,t_s,dA,dB,dE"]
-    for t in gates:
-        tau = (t - markers.t_tr_s) / markers.tau_c_s
-        f = external_fields(pipeline.dphi_prefactor, r / a, theta, phi, tau, pipeline.mu_b)
-        da = float(np.linalg.norm(f.dA.ravel())) * scales.factor("a")
-        db = float(np.linalg.norm(f.dB.ravel())) * scales.factor("b")
-        de = float(np.linalg.norm(f.dE.ravel())) * scales.factor("e")
-        lines.append(
-            ",".join([_fmt(r), _fmt(theta), _fmt(phi), _fmt(t), _fmt(da), _fmt(db), _fmt(de)])
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return r, theta, phi
+
+
+def _field_scan(point, gates, pipeline, markers, target) -> dict:
+    """CSV columns of the exterior field magnitudes at one point over the gates (SI)."""
+    r, theta, phi = point
+    scales = scales_for(target)
+    fields = [
+        external_fields(pipeline.dphi_prefactor, r / target.radius_m, theta, phi,
+                        (t - markers.t_tr_s) / markers.tau_c_s, pipeline.mu_b)
+        for t in gates
+    ]
+    columns = {name: np.full(gates.size, v) for name, v in zip(("r", "theta", "phi"), point)}
+    columns["t_s"] = gates
+    for name, kind in (("dA", "a"), ("dB", "b"), ("dE", "e")):
+        norms = np.array([np.linalg.norm(getattr(f, name).ravel()) for f in fields])
+        columns[name] = norms * scales.factor(kind)
+    return columns
 
 
 def cmd_fit(args) -> int:
     window = _parse_window(args.window) if args.window else None
     data = read_timeseries_csv(args.data)
-    init = None
-    if args.power:
-        init = DecayModel(power_amplitude=1.0, rates=(), amplitudes=())
+    init = DecayModel(power_amplitude=1.0, rates=(), amplitudes=()) if args.power else None
     result = fit_exponentials(data, args.terms, init=init, seed=args.seed)
     report = {
         "converged": result.converged,
@@ -218,38 +200,16 @@ def cmd_fit(args) -> int:
         "inputs": {"data": file_digest(args.data)},
     }
     if window:
-        plaw = fit_power_law(data, window)
-        report["power_law_window"] = {
-            "amplitude": plaw.amplitude,
-            "exponent": plaw.exponent,
-            "residual": plaw.residual,
-        }
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "fit.json")
-    write_json(out_path, report)
-    manifest = build_manifest(
-        "fit", {"terms": args.terms, "power": bool(args.power)}, args.seed,
-        inputs={"data": file_digest(args.data)},
-        outputs={"fit.json": file_digest(out_path)},
-    )
-    write_json(os.path.join(args.out, "manifest_fit.json"), manifest.to_dict())
-    print(f"wrote {out_path}")
-    return 0
+        report["power_law_window"] = asdict(fit_power_law(data, window))
+    return _publish(args, "fit", {"fit.json": lambda path: write_json(path, report)},
+                    {"terms": args.terms, "power": bool(args.power)}, {"data": args.data})
 
 
 def cmd_classify(args) -> int:
-    import json
-
     data = read_timeseries_csv(args.data)
-    with open(args.library, "r", encoding="utf-8") as fh:
-        try:
-            lib = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<library>", f"invalid JSON: {exc}") from exc
+    lib = read_json(args.library, "<library>")
     if "candidates" not in lib or not lib["candidates"]:
         raise ConfigError("candidates", "library must list candidates")
-    from ._io import parse_config
-
     candidates = []
     for k, entry in enumerate(lib["candidates"]):
         if "name" not in entry or "config" not in entry:
@@ -259,6 +219,7 @@ def cmd_classify(args) -> int:
         data, candidates, forward_values, noise_rel=args.noise_rel,
         free_gain=args.free_gain,
     )
+    inputs = {"data": args.data, "library": args.library}
     report = {
         "ranking": [[name, misfit] for name, misfit in result.ranking],
         "best": result.best,
@@ -266,20 +227,10 @@ def cmd_classify(args) -> int:
         "seed": args.seed,
         "noise_rel": args.noise_rel,
         "free_gain": bool(args.free_gain),
-        "inputs": {"data": file_digest(args.data), "library": file_digest(args.library)},
+        "inputs": {name: file_digest(path) for name, path in inputs.items()},
     }
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "classify.json")
-    write_json(out_path, report)
-    manifest = build_manifest(
-        "classify", lib, args.seed,
-        inputs={"data": file_digest(args.data), "library": file_digest(args.library)},
-        outputs={"classify.json": file_digest(out_path)},
-    ).to_dict()
-    manifest["rejected"] = result.rejected
-    write_json(os.path.join(args.out, "manifest_classify.json"), manifest)
-    print(f"wrote {out_path} (best: {result.best})")
-    return 0
+    return _publish(args, "classify", {"classify.json": lambda path: write_json(path, report)},
+                    lib, inputs, f"best: {result.best}", rejected=result.rejected)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -338,21 +289,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ParameterError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

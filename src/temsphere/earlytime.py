@@ -489,22 +489,19 @@ def run_early_pipeline(
     )
 
 
-def early_voltage(signal: EarlySignal, gates_s, markers: TimeMarkers) -> TimeSeries:
+def early_voltage(signal: EarlySignal, gates_s) -> TimeSeries:
     """Receiver voltage of the early-time law on the given gates (SI).
 
     V(t) = -N_R d/dt oint Delta_A . dl = amplitude / sqrt(t - t_tr) with the
-    amplitude of ``signal`` (see ``early_signal``); gates outside its
-    validity window are flagged per-gate in metadata, never dropped.  The
-    series metadata carries the signal.
+    amplitude of ``signal`` (see ``early_signal``) and t_tr its ``t_ref_s``;
+    gates outside its validity window are flagged per-gate in metadata,
+    never dropped.  The series metadata carries the signal.
     """
     t = np.asarray(gates_s, dtype=float)
-    if np.any(t <= markers.t_tr_s):
-        raise ParameterError("gates must lie after the transient time t_tr")
     vals = signal.evaluate(t)
     lo, hi = signal.window_s
-    quality = np.where(
-        t - markers.t_tr_s < lo, "transient", np.where(t - markers.t_tr_s > hi, "late", "ok")
-    )
+    elapsed = t - signal.t_ref_s
+    quality = np.where(elapsed < lo, "transient", np.where(elapsed > hi, "late", "ok"))
     return TimeSeries(
         times_s=t,
         values=vals,

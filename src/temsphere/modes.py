@@ -223,8 +223,8 @@ def eigencondition(l: int, x, mu_ratio: float):
     """Residual of the sphere eigencondition; zeros are mode wavenumbers."""
     if l < 1:
         raise ParameterError("sector degree l must be >= 1")
-    xa = np.asarray(x, dtype=float)
-    return xa * spherical_bessel_j(l - 1, xa) - l * (1.0 - mu_ratio) * spherical_bessel_j(l, xa)
+    with np.errstate(divide="ignore", invalid="ignore"):  # F' is infinite at x = 0; F is not
+        return _eigencondition_fdf(l, mu_ratio, np.asarray(x, dtype=float))[0]
 
 
 def _eigencondition_fdf(l: int, mu_ratio: float, x: np.ndarray) -> tuple:

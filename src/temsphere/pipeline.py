@@ -20,13 +20,12 @@ from .core import (
     scales_for,
     validate_regime,
 )
-from .earlytime import EarlyPipeline, EarlySignal, early_signal, run_early_pipeline
+from .earlytime import EarlyPipeline, EarlySignal, early_signal, early_voltage, run_early_pipeline
 from .excitation import (
     ExcitationCoefficients,
     Loop,
     PulseWaveform,
     TimeSeries,
-    UniformField,
     compute_excitation,
     synthesize_voltage,
 )
@@ -112,14 +111,11 @@ def forward_model(
     mode_ts = synthesize_voltage(library, coeffs, gates - markers.t0_s)
     mode_ts.times_s = gates
     early, signal = early_response(config, markers)
-    early_vals = signal.evaluate(gates)
-    early_ts = TimeSeries(
-        times_s=gates, values=early_vals, metadata={"kind": "early_time", "signal": signal}
-    )
+    early_ts = early_voltage(signal, gates)
     report = regime_boundaries(library, coeffs, markers, signal, config.regime_tol)
     composite = compose_response(mode_ts, early_ts, report)
     regime_guard = validate_regime(markers, config.regime_tol)
-    quality = _gate_quality(gates, signal, mode_ts.metadata["truncation_bound"], composite)
+    quality = _gate_quality(early_ts, mode_ts.metadata["truncation_bound"], composite)
     composite.metadata.update(
         {
             "quality": quality,
@@ -140,12 +136,11 @@ def forward_model(
     )
 
 
-def _gate_quality(gates, signal, bound, composite) -> np.ndarray:
-    """Per-gate flags 'ok', 'transient' (before the early law's validity
-    window, timed from the signal's t_ref as `early_voltage` does) or
-    'truncated' (mode-sum tail ``bound``)."""
-    flags = np.full(gates.shape, "ok", dtype="<U9")
-    flags[gates - signal.t_ref_s < signal.window_s[0]] = "transient"
+def _gate_quality(early_ts, bound, composite) -> np.ndarray:
+    """Per-gate flags 'ok', 'transient' (as `early_voltage` flags the gate)
+    or 'truncated' (mode-sum tail ``bound``)."""
+    transient = early_ts.metadata["quality"] == "transient"
+    flags = np.where(transient, "transient", "ok").astype("<U9")
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = bound > 0.01 * np.abs(composite.values)
     flags[bad & (flags == "ok")] = "truncated"

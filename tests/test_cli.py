@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from temsphere import cli
-from temsphere._io import read_timeseries_csv
+from temsphere._io import config_hash, read_timeseries_csv
 
 
 def run_cli(*args):
@@ -433,3 +434,80 @@ class TestFitAndClassify:
         assert "rejected" not in report
         manifest = json.loads((out / "manifest_classify.json").read_text())
         assert manifest["rejected"] == [["late", "ParameterError"]]
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPublish:
+    """Each manifest digests the payloads written and every input file; a
+    command that fails writes nothing under --out."""
+
+    @pytest.fixture()
+    def small_config(self, tmp_path, sample_config_dict):
+        cfg = json.loads(json.dumps(sample_config_dict))
+        cfg["options"]["max_n"] = 40
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    @staticmethod
+    def manifest(out, command, inputs, record):
+        """The manifest, after checking its outputs, inputs and record hash."""
+        name = f"manifest_{command}.json"
+        manifest = json.loads((out / name).read_text())
+        payloads = sorted(p.name for p in out.iterdir() if p.name != name)
+        assert manifest["command"] == command
+        assert manifest["outputs"] == {f: sha256(out / f) for f in payloads}
+        assert manifest["inputs"] == {k: sha256(path) for k, path in inputs.items()}
+        assert manifest["config_sha256"] == config_hash(record)
+        return manifest
+
+    @pytest.mark.parametrize(
+        "command, flags, files",
+        [
+            ("modes", [], ["modes.json"]),
+            ("simulate", ["--gates", "2e-3,1.0,30"], ["simulate.csv"]),
+            ("early", [], ["early.json"]),
+            ("early", ["--gates", "1e-6,1e-4,10", "--scan", "0.3,1.0,0.5"],
+             ["early.csv", "early.json", "early_scan.csv"]),
+        ],
+        ids=["modes", "simulate", "early", "early-gates-scan"],
+    )
+    def test_config_command_manifest(self, tmp_path, small_config, command, flags, files):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(small_config), "--out", str(out), *flags]) == 0
+        record = json.loads(small_config.read_text())
+        manifest = self.manifest(out, command, {"config": small_config}, record)
+        assert sorted(manifest["outputs"]) == files
+
+    def test_fit_and_classify_manifests(self, tmp_path, small_config):
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", str(small_config), "--out", str(sim),
+                         "--gates", "2e-3,1.0,30"]) == 0
+        data = sim / "simulate.csv"
+        out = tmp_path / "fit"
+        assert cli.main(["fit", "--data", str(data), "--out", str(out), "--terms", "2"]) == 0
+        manifest = self.manifest(out, "fit", {"data": data}, {"terms": 2, "power": False})
+        assert list(manifest["outputs"]) == ["fit.json"]
+        library = {"candidates": [{"name": "a", "config": json.loads(small_config.read_text())}]}
+        lib_path = tmp_path / "library.json"
+        lib_path.write_text(json.dumps(library))
+        out = tmp_path / "cls"
+        assert cli.main(["classify", "--data", str(data), "--library", str(lib_path),
+                         "--out", str(out)]) == 0
+        manifest = self.manifest(out, "classify", {"data": data, "library": lib_path}, library)
+        assert list(manifest["outputs"]) == ["classify.json"]
+        assert manifest["rejected"] == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--scan", "0.3,1.0,0.5"], ["--gates", "1e-6,1e-4,10", "--scan", "0.03,1.0,0.5"]],
+        ids=["scan-without-gates", "scan-inside-target"],
+    )
+    def test_failing_early_writes_nothing(self, tmp_path, small_config, capsys, flags):
+        out = tmp_path / "out"
+        assert cli.main(["early", "--config", str(small_config), "--out", str(out), *flags]) == 2
+        assert "--scan" in capsys.readouterr().err
+        assert not out.exists()

@@ -425,7 +425,7 @@ class TestEarlyVoltage:
         pipeline, markers, scales = voltage_setup
         gates = np.geomspace(1e-5, 1e-3, 25) * markers.tau_c_s
         series = ts.early_voltage(
-            early_signal(pipeline, rx_loop, markers, scales, aluminum_sphere), gates, markers
+            early_signal(pipeline, rx_loop, markers, scales, aluminum_sphere), gates
         )
         y = series.values * np.sqrt(gates - markers.t_tr_s)
         assert np.max(np.abs(y / y[0] - 1.0)) < 1e-10
@@ -475,7 +475,7 @@ class TestEarlyVoltage:
         )
         gates = markers.t_tr_s + np.array([2e-6, 1e-4 * markers.tau_c_s, markers.tau_c_s])
         series = ts.early_voltage(
-            early_signal(pipeline, rx_loop, markers, scales, aluminum_sphere), gates, markers
+            early_signal(pipeline, rx_loop, markers, scales, aluminum_sphere), gates
         )
         assert list(series.metadata["quality"]) == ["transient", "ok", "late"]
 
@@ -491,6 +491,6 @@ class TestEarlyVoltage:
         sig = early_signal(pipeline, rx_loop, markers, scales, aluminum_sphere)
         assert len([k for k, v in sig.per_harmonic.items() if abs(v) > 0]) >= 3
         gates = np.geomspace(1e-5, 1e-3, 9) * markers.tau_c_s
-        series = ts.early_voltage(sig, gates, markers)
+        series = ts.early_voltage(sig, gates)
         y = series.values * np.sqrt(gates)
         assert np.max(np.abs(y / y[0] - 1)) < 1e-10

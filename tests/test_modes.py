@@ -57,6 +57,12 @@ class TestEigencondition:
             scale = x + abs(l * (1.0 - mu_ratio))
             assert np.all(np.abs(df - ref) <= 1e-13 * scale), l
 
+    def test_zero_argument(self):
+        # F(0) = 0 for every l >= 1, with no warning from F' = inf there
+        for l in (1, 2, 3):
+            assert eigencondition(l, 0.0, 60.0) == 0.0
+            assert np.array_equal(eigencondition(l, np.array([0.0]), 1.0), [0.0])
+
     def test_sign_change_between_brackets(self):
         # residual is continuous across each bracket for mu ratio > 1
         x = np.linspace(0.5, 20, 2000)
