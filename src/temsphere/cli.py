@@ -74,7 +74,8 @@ def _publish(args, command: str, payloads: dict, record: dict, inputs: dict,
 
     Commands call this once every payload is computed, so a command that
     fails writes nothing.  ``payloads`` maps file name to a writer taking
-    the file's path, ``inputs`` maps input name to its path, ``record`` is
+    the file's path, ``inputs`` maps input name to its sha256 (commands
+    that quote them in a payload hand over the same dict), ``record`` is
     the config hashed into the manifest and ``extra`` adds manifest fields.
     """
     os.makedirs(args.out, exist_ok=True)
@@ -83,8 +84,7 @@ def _publish(args, command: str, payloads: dict, record: dict, inputs: dict,
         path = os.path.join(args.out, name)
         write(path)
         outputs[name] = file_digest(path)
-    digests = {name: file_digest(path) for name, path in inputs.items()}
-    manifest = build_manifest(command, record, args.seed, inputs=digests, outputs=outputs)
+    manifest = build_manifest(command, record, args.seed, inputs=inputs, outputs=outputs)
     write_json(os.path.join(args.out, f"manifest_{command}.json"), {**manifest, **extra})
     first = os.path.join(args.out, next(iter(payloads)))
     print(f"wrote {first} ({note})" if note else f"wrote {first}")
@@ -95,7 +95,7 @@ def cmd_modes(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     library = build_library(config)
     return _publish(args, "modes", {"modes.json": library.save}, config.raw,
-                    {"config": args.config}, f"{len(library)} modes")
+                    {"config": file_digest(args.config)}, f"{len(library)} modes")
 
 
 def cmd_simulate(args) -> int:
@@ -106,7 +106,7 @@ def cmd_simulate(args) -> int:
     return _publish(
         args, "simulate",
         {"simulate.csv": lambda path: write_timeseries_csv(path, composite, columns)},
-        config.raw, {"config": args.config}, f"{gates.size} gates",
+        config.raw, {"config": file_digest(args.config)}, f"{gates.size} gates",
     )
 
 
@@ -145,7 +145,7 @@ def cmd_early(args) -> int:
     if point is not None:
         scan = _field_scan(point, gates, pipeline, markers, config.target)
         payloads["early_scan.csv"] = lambda path: write_csv(path, scan)
-    return _publish(args, "early", payloads, config.raw, {"config": args.config})
+    return _publish(args, "early", payloads, config.raw, {"config": file_digest(args.config)})
 
 
 def _c2l(value) -> list:
@@ -185,6 +185,7 @@ def cmd_fit(args) -> int:
     data = read_timeseries_csv(args.data)
     init = DecayModel(power_amplitude=1.0, rates=(), amplitudes=()) if args.power else None
     result = fit_exponentials(data, args.terms, init=init, seed=args.seed)
+    inputs = {"data": file_digest(args.data)}
     report = {
         "converged": result.converged,
         "misfit": result.misfit,
@@ -197,12 +198,12 @@ def cmd_fit(args) -> int:
             "rates_per_s": list(result.model.rates),
         },
         "diagnostics": result.diagnostics,
-        "inputs": {"data": file_digest(args.data)},
+        "inputs": inputs,
     }
     if window:
         report["power_law_window"] = asdict(fit_power_law(data, window))
     return _publish(args, "fit", {"fit.json": lambda path: write_json(path, report)},
-                    {"terms": args.terms, "power": bool(args.power)}, {"data": args.data})
+                    {"terms": args.terms, "power": bool(args.power)}, inputs)
 
 
 def cmd_classify(args) -> int:
@@ -219,7 +220,7 @@ def cmd_classify(args) -> int:
         data, candidates, forward_values, noise_rel=args.noise_rel,
         free_gain=args.free_gain,
     )
-    inputs = {"data": args.data, "library": args.library}
+    inputs = {"data": file_digest(args.data), "library": file_digest(args.library)}
     report = {
         "ranking": [[name, misfit] for name, misfit in result.ranking],
         "best": result.best,
@@ -227,7 +228,7 @@ def cmd_classify(args) -> int:
         "seed": args.seed,
         "noise_rel": args.noise_rel,
         "free_gain": bool(args.free_gain),
-        "inputs": {name: file_digest(path) for name, path in inputs.items()},
+        "inputs": inputs,
     }
     return _publish(args, "classify", {"classify.json": lambda path: write_json(path, report)},
                     lib, inputs, f"best: {result.best}", rejected=result.rejected)

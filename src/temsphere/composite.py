@@ -104,8 +104,8 @@ def regime_boundaries(
     Late time begins when the second-slowest distinct mode has decayed to
     ``tol`` of the fundamental: t0 + ln(|V2/V1|/tol)/(lambda2 - lambda1).
     The early end lies one decade above the spectral floor (largest rate
-    times elapsed >= 15, and twice the transient), capped at the end of the
-    early law's validity window; the blend decade is centred on it.  The
+    times elapsed >= 15, and the start of the early law's validity window),
+    capped at the end of that window; the blend decade is centred on it.  The
     early law is used only if the splice ``compose_response`` applies,
     run on 50 log-spaced probe gates across the blend decade, distorts the
     curve by at most ``tol``.  The decision never depends on the caller's
@@ -126,8 +126,8 @@ def regime_boundaries(
     late = max(late, t0)
     root10 = np.sqrt(10.0)
     # blend bottom must keep the mode sum's omitted tail negligible and
-    # stay clear of the post-quench transient
-    floor = max(15.0 / rates[-1], 2.0 * markers.tau_tr_s)
+    # stay inside the early law's window, past the post-quench transient
+    floor = max(15.0 / rates[-1], markers.t_tr_s - t0 + signal.window_s[0])
     early_end = min(floor * 10.0, signal.window_s[1])
     blend_lo, blend_hi = early_end / root10, early_end * root10
     mismatch = float("nan")
@@ -154,9 +154,10 @@ def compose_response(
 
     Both series must be sampled on the same gates.  When the report
     accepts the early law, the two are spliced over its blend decade (see
-    ``regime_boundaries``); otherwise the mode sum is returned unblended
-    and the early series ignored.  The metadata carries the report's
-    ``blend_mismatch``.
+    ``regime_boundaries``), except at gates the early series flags
+    ``transient`` (before the law's window), which keep the mode sum;
+    otherwise the mode sum is returned unblended and the early series
+    ignored.  The metadata carries the report's ``blend_mismatch``.
     """
     if mode_sum.times_s.shape != early.times_s.shape or not np.allclose(
         mode_sum.times_s, early.times_s, rtol=1e-12
@@ -174,7 +175,10 @@ def compose_response(
         return TimeSeries(times_s=t, values=mode_sum.values.copy(), metadata=metadata)
     lo, hi = report.blend_lo_s, report.blend_hi_s
     vals, w, _ = _splice(t, early.values, mode_sum.values, lo, hi)
-    metadata["regime"] = np.where(t < lo, "early", np.where(t <= hi, "blend", late_label))
+    regime = np.where(t < lo, "early", np.where(t <= hi, "blend", late_label))
+    before = early.metadata.get("quality", np.full(t.shape, "ok")) == "transient"
+    vals[before], w[before], regime[before] = mode_sum.values[before], 1.0, late_label[before]
+    metadata["regime"] = regime
     metadata["weights"] = w
     return TimeSeries(times_s=t, values=vals, metadata=metadata)
 

@@ -4,8 +4,10 @@ Measured TDEM decays are fitted to a baseline + power-law + sum-of-
 exponentials model.  Rate estimation from noisy data is notoriously
 unstable, so the exponential fit uses separable (variable-projection)
 least squares: at fixed rates the amplitudes are solved exactly by
-weighted linear least squares, and only the rates are optimized, with a
-deterministic multistart protocol and strict ordering enforced through a
+weighted linear least squares, and only the rates are optimized, by a
+numpy Levenberg-Marquardt on the projected residual with the Kaufman
+Jacobian (Golub & Pereyra 2003, Inverse Problems 19:R1), from a
+deterministic multistart protocol, with strict ordering enforced through a
 log-gap parameterization.  Classification avoids rate estimation entirely:
 candidate targets are forward-modeled and ranked by weighted RMS misfit.
 """
@@ -13,6 +15,7 @@ candidate targets are forward-modeled and ranked by weighted RMS misfit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +57,8 @@ class DecayModel:
 class FitResult:
     """Fit outcome; ``misfit`` is meaningful only when ``converged``.
 
-    ``converged`` is False only when no start that L-BFGS-B reports
-    converged reached the selected objective (within 1e-6 relative).
+    ``converged`` is False only when no start that Levenberg-Marquardt
+    reports converged reached the selected objective (within 1e-6 relative).
     """
 
     model: DecayModel
@@ -117,57 +120,92 @@ def fit_power_law(
     )
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use so that only fitting loads scipy."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
 def _rates_from_params(u: np.ndarray) -> np.ndarray:
-    lam = np.empty_like(u)
-    lam[0] = np.exp(u[0])
-    for i in range(1, len(u)):
-        lam[i] = lam[i - 1] * (1.0 + np.exp(u[i]))
-    return lam
+    """lambda_0 = exp(u_0), lambda_i = lambda_(i-1) (1 + exp(u_i))."""
+    return np.cumprod(np.concatenate((np.exp(u[:1]), 1.0 + np.exp(u[1:]))))
 
 
 def _params_from_rates(rates: np.ndarray) -> np.ndarray:
-    u = np.empty_like(rates)
-    u[0] = np.log(rates[0])
-    for i in range(1, len(rates)):
-        u[i] = np.log(rates[i] / rates[i - 1] - 1.0)
-    return u
+    return np.concatenate((np.log(rates[:1]), np.log(rates[1:] / rates[:-1] - 1.0)))
 
 
-def _linear_solve(t, y, w, rates, power_exponent, with_power, with_baseline):
-    cols = [np.exp(-lam * t) for lam in rates]
-    if with_power:
-        cols.append(t**power_exponent)
-    if with_baseline:
-        cols.append(np.ones_like(t))
-    design = np.vstack(cols).T
-    wd = design * w[:, None]
-    wy = y * w
-    coef, *_ = np.linalg.lstsq(wd, wy, rcond=None)
-    resid = wy - wd @ coef
-    return coef, float(resid @ resid), wd
+# evaluations of one Levenberg-Marquardt start; a start that uses them all
+# is reported unconverged
+LM_MAX_EVALS = 100
+_Projection = namedtuple("_Projection", "sse coef design jac resid")
 
 
-def _objective(u, t, y, w, power_exponent, with_power, with_baseline) -> float:
-    """Variable-projection SSE at log-gap parameters ``u``.
+def _project(u, t, w, wy, extra, below=math.inf):
+    """Variable-projection residual at log-gap parameters ``u``, or None.
 
-    1e30 outside the rate box (1e-12..1e12 /s) or where the SSE is not
-    finite: near-coincident fast rates make the linear solve overflow to
-    inf coefficients, and the optimizer must not be fed the NaN.  Far
-    probes overflow by design, so callers evaluate it under
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    ``t``, ``w`` are gate and weight columns, ``extra`` the weighted power-law
+    and baseline columns.  ``jac`` is the Kaufman Jacobian -P_perp (d design/du)
+    coef; ``2 jac^T resid`` is the exact SSE gradient, since the term it drops
+    lies in the design's range, orthogonal to ``resid``.  None outside the rate
+    box (1e-12..1e12 /s), for a gap parameter below -20 (two rates merging), or
+    where the SSE is not below ``below`` or the solve is not finite.  Far probes
+    overflow: callers use ``np.errstate(over="ignore", invalid="ignore")``.
     """
     rates = _rates_from_params(u)
-    if rates[-1] > 1e12 or rates[0] < 1e-12:
-        return 1e30
-    _, sse, _ = _linear_solve(t, y, w, rates, power_exponent, with_power, with_baseline)
-    return sse if math.isfinite(sse) else 1e30
+    if np.any(u[1:] < -20.0) or not (rates[0] >= 1e-12 and rates[-1] <= 1e12):
+        return None
+    k = u.size
+    design = np.concatenate((np.exp(t * -rates) * w, extra), axis=1)
+    q, r = np.linalg.qr(design)
+    qy = q.T @ wy
+    resid = wy - q @ qy
+    sse = float(resid @ resid)
+    if not sse < below:
+        return None
+    try:
+        coef = np.linalg.solve(r, qy)
+    except np.linalg.LinAlgError:
+        return None
+    # d column_i / d u_j = -t column_i lambda_i sigma_j for i >= j, with
+    # sigma_0 = 1 and sigma_j the logistic of u_j
+    dcol = (t * design[:, :k]) * (coef[:k] * -rates)
+    sigma = np.concatenate(([1.0], 1.0 / (1.0 + np.exp(-u[1:]))))
+    d = np.cumsum(dcol[:, ::-1], axis=1)[:, ::-1] * sigma
+    jac = q @ (q.T @ d) - d
+    if not (np.isfinite(coef).all() and np.isfinite(jac).all()):
+        return None
+    return _Projection(sse, coef, design, jac, resid)
+
+
+def _levenberg_marquardt(u, args):
+    """Minimize the projected SSE from ``u``: (u, evaluation, converged).
+
+    Nielsen's damping update; a step is rejected when ``_project`` rejects its
+    end point, which it does when the SSE does not fall.  Converged when a step
+    is below 1e-8 in every parameter within LM_MAX_EVALS evaluations.  The
+    evaluation is None when ``u`` itself is rejected.
+    """
+    ev = _project(u, *args)
+    if ev is None:
+        return u, None, False
+    eye = np.eye(u.size)
+    mu, nu = None, 2.0
+    for _ in range(LM_MAX_EVALS):
+        jtj, grad = ev.jac.T @ ev.jac, ev.jac.T @ ev.resid
+        if mu is None:
+            mu = 1e-2 * float(np.max(np.diag(jtj)))
+        try:
+            step = np.linalg.solve(jtj + mu * eye, -grad)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is not None and np.max(np.abs(step)) <= 1e-8:
+            return u, ev, True
+        trial = None if step is None else _project(u + step, *args, ev.sse)
+        if trial is not None:
+            # gain ratio: actual over the linear model's predicted SSE fall
+            gain = (ev.sse - trial.sse) / float(step @ (mu * step - grad))
+            u, ev = u + step, trial
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    return u, ev, False
 
 
 def fit_exponentials(
@@ -183,14 +221,15 @@ def fit_exponentials(
 
     Amplitudes (and, when ``init`` requests them, a power-law term and
     baseline) are solved linearly at fixed rates; rates are optimized by
-    L-BFGS-B in a log-gap parameterization that keeps them positive and
-    strictly increasing.  Multistart: ``restarts`` log-uniform rate ladders
+    Levenberg-Marquardt on the projected residual (``_levenberg_marquardt``)
+    in a log-gap parameterization that keeps them positive and strictly
+    increasing.  Multistart: ``restarts`` log-uniform rate ladders
     spanning the data's time window, plus a nested start built from the
     (k-1)-term fit, all derived deterministically from ``seed``.  The fit
-    is converged when a start that L-BFGS-B reports converged reached the
+    is converged when a start that LM reports converged reached the
     selected objective within 1e-6 relative, whichever start that was;
     non-convergence of every such start yields converged=False, never a
-    silent best-so-far.
+    silent best-so-far.  NumericalError when no start has a finite SSE.
     """
     if not 1 <= k <= max_terms:
         raise ParameterError(f"term count must lie in 1..{max_terms}")
@@ -206,9 +245,7 @@ def fit_exponentials(
     starts = []
     r_lo, r_hi = 0.5 / t[-1], 2.0 / t[0]
     for _ in range(restarts):
-        base = np.sort(
-            np.exp(rng.uniform(np.log(r_lo), np.log(r_hi), size=k))
-        )
+        base = np.sort(np.exp(rng.uniform(np.log(r_lo), np.log(r_hi), size=k)))
         # enforce minimal spacing so the log-gap map stays finite
         for i in range(1, k):
             base[i] = max(base[i], base[i - 1] * 1.05)
@@ -225,12 +262,17 @@ def fit_exponentials(
             for g in (3.0, 10.0):
                 starts.append(_params_from_rates(np.append(prev, prev[-1] * g)))
 
-    args = (t, y, w, p_exp, with_power, with_baseline)
-    with np.errstate(over="ignore", invalid="ignore"):  # once, not per objective call
-        results = [minimize(_objective, u0, args=args, method="L-BFGS-B") for u0 in starts]
-    best = min(results, key=lambda res: res.fun)
-    rates = _rates_from_params(best.x)
-    coef, sse, wd = _linear_solve(t, y, w, rates, p_exp, with_power, with_baseline)
+    extra = ([t**p_exp] if with_power else []) + ([np.ones_like(t)] if with_baseline else [])
+    args = (t[:, None], w[:, None], y * w,
+            np.array(extra).reshape(len(extra), t.size).T * w[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):  # once, not per evaluation
+        results = [_levenberg_marquardt(u0, args) for u0 in starts]
+    finite = [res for res in results if res[1] is not None]
+    if not finite:
+        raise NumericalError("no start of the fit has a finite objective")
+    u_best, best, _ = min(finite, key=lambda res: res[1].sse)
+    sse, coef, wd = best.sse, best.coef, best.design
+    rates = _rates_from_params(u_best)
     amps = coef[:k]
     power_amp = float(coef[k]) if with_power else 0.0
     baseline = float(coef[-1]) if with_baseline else 0.0
@@ -256,12 +298,8 @@ def fit_exponentials(
     except np.linalg.LinAlgError:  # pragma: no cover
         max_rel_sigma = float("inf")
     ratios = rates[1:] / rates[:-1] if k > 1 else np.array([])
-    ill_conditioned = (
-        cond > 1e8 or bool(np.any(ratios < 1.1)) or max_rel_sigma > 0.5
-    )
-    converged = any(
-        res.success and abs(res.fun - best.fun) <= 1e-6 * abs(best.fun) for res in results
-    )
+    ill_conditioned = cond > 1e8 or bool(np.any(ratios < 1.1)) or max_rel_sigma > 0.5
+    converged = any(ok and abs(ev.sse - sse) <= 1e-6 * sse for _, ev, ok in finite)
     return FitResult(
         model=model,
         misfit=misfit,

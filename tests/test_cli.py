@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -500,6 +501,39 @@ class TestPublish:
         manifest = self.manifest(out, "classify", {"data": data, "library": lib_path}, library)
         assert list(manifest["outputs"]) == ["classify.json"]
         assert manifest["rejected"] == []
+
+    def test_each_file_digested_once(self, tmp_path, small_config, monkeypatch):
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", str(small_config), "--out", str(sim),
+                         "--gates", "2e-3,1.0,30"]) == 0
+        data = sim / "simulate.csv"
+        lib_path = tmp_path / "library.json"
+        lib_path.write_text(json.dumps(
+            {"candidates": [{"name": "a", "config": json.loads(small_config.read_text())}]}))
+        digested = []
+        digest = cli.file_digest
+
+        def counted(path):
+            digested.append(os.path.basename(path))
+            return digest(path)
+
+        monkeypatch.setattr(cli, "file_digest", counted)
+        for command, flags, files in [
+            ("fit", ["--data", str(data), "--terms", "2"], ["fit.json", "simulate.csv"]),
+            ("classify", ["--data", str(data), "--library", str(lib_path)],
+             ["classify.json", "library.json", "simulate.csv"]),
+            ("early", ["--config", str(small_config), "--gates", "1e-6,1e-4,10",
+                       "--scan", "0.3,1.0,0.5"],
+             ["config.json", "early.csv", "early.json", "early_scan.csv"]),
+        ]:
+            digested.clear()
+            out = tmp_path / command
+            assert cli.main([command, *flags, "--out", str(out)]) == 0
+            assert sorted(digested) == files
+            if command != "early":
+                payload = json.loads((out / f"{command}.json").read_text())
+                manifest = json.loads((out / f"manifest_{command}.json").read_text())
+                assert payload["inputs"] == manifest["inputs"]
 
     @pytest.mark.parametrize(
         "flags",

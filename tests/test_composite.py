@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,34 @@ class TestSingleDecision:
         assert report.early_ok == (report.blend_mismatch <= 0.05)
         assert report.early_ok  # 3.8% passes at 5%, and nothing raises later
         assert result.composite.metadata["early_used"] == report.early_ok
+
+
+class TestTransientGates:
+    """With the background transient kept, the early law opens 10 tau_tr after t_tr."""
+
+    def test_blend_starts_inside_the_early_window(self):
+        # spectral floor 15/lambda_max = 1.5e-4 tau_c lies below the window
+        # start t_tr + 10 tau_tr = 1.1e-3 tau_c
+        lib = synthetic_library([(n * np.pi) ** 2 for n in range(1, 101)])
+        markers = ts.TimeMarkers(t0_s=0.0, tau_r_s=0.0, tau_tr_s=1e-4, tau_c_s=1.0, tau_b_s=0.0)
+        signal = EarlySignal(amplitude_v_sqrt_s=1.0, t_ref_s=markers.t_tr_s,
+                             window_s=(1e-3, 0.05), per_harmonic={})
+        report = ts.regime_boundaries(lib, coeffs_for([1.0] * 100), markers, signal)
+        assert report.blend_lo_s >= (markers.t_tr_s + signal.window_s[0]) * (1.0 - 1e-12)
+
+    def test_transient_gates_keep_the_mode_sum(self, sample_config_dict):
+        cfg = json.loads(json.dumps(sample_config_dict))
+        cfg["options"]["collapse_transient"] = False
+        config = _io.parse_config(cfg)
+        tau_tr = pipeline.markers_for(config).tau_tr_s
+        result = pipeline.forward_model(config, np.geomspace(1.5 * tau_tr, 0.1, 120))
+        composite = result.composite
+        transient = composite.metadata["quality"] == "transient"
+        assert result.report.early_ok and np.count_nonzero(transient) == 17
+        regime = composite.metadata["regime"]
+        assert not np.any(transient & np.isin(regime, ["early", "blend"]))
+        assert np.array_equal(composite.values[transient], result.mode_series.values[transient])
+        assert np.any(regime == "early")  # the law still serves the gates inside its window
 
 
 class TestCrosscheck:
