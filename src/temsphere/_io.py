@@ -296,10 +296,13 @@ def read_timeseries_csv(path: str) -> TimeSeries:
         if len(cells) < 2:
             raise DataError(idx, "expected at least 2 comma-separated fields")
         try:
-            times.append(float(cells[0]))
-            values.append(float(cells[1]))
+            t, v = float(cells[0]), float(cells[1])
         except ValueError:
             raise DataError(idx, f"non-numeric value in {cells[:2]}")
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise DataError(idx, f"non-finite value in {cells[:2]}")
+        times.append(t)
+        values.append(v)
     if not times:
         raise DataError(2, "no data rows")
     try:

@@ -44,8 +44,8 @@ def _parse_gates(spec: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError("--gates", "expected tmin,tmax,count")
-    if lo <= 0 or hi <= lo or count < 2:
-        raise ConfigError("--gates", "need 0 < tmin < tmax and count >= 2")
+    if not (math.isfinite(hi) and 0 < lo < hi and count >= 2):
+        raise ConfigError("--gates", "need finite 0 < tmin < tmax and count >= 2")
     return np.geomspace(lo, hi, count)
 
 
@@ -158,6 +158,8 @@ def _parse_scan(spec: str, radius_m: float) -> tuple:
         r, theta, phi = (float(x) for x in spec.split(","))
     except ValueError:
         raise ConfigError("--scan", "expected r,theta,phi (m, rad, rad)")
+    if not all(map(math.isfinite, (r, theta, phi))):
+        raise ConfigError("--scan", "r, theta and phi must be finite")
     if r <= radius_m:
         raise ConfigError("--scan", "scan point must lie outside the target")
     return r, theta, phi

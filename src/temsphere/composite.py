@@ -18,7 +18,8 @@ where v is the exact coupling correction implied by the eigencondition
 (for mu = 1 it is identically 1).  Using the shape as a template removes
 the finite-permeability transfer bias that otherwise masks the asymptote
 at reachable gate times; the amplitude itself remains a free parameter, so
-the comparison still tests every constant in both pipelines.
+the comparison tests every constant of both pipelines but the transmitter
+coupling, which they share (Biot-Savart oracles in the tests check it).
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Post-quench surface currents and the early-time t^(-1/2) response.
 
-The theory proceeds in three steps after transmitter shutoff.  First, once
-the outgoing transient has left the target region (t_tr = t0 + tau_tr), the
+Before shutoff the transmitter's static potential illuminates the target
+(step 0); a loop's coefficients follow by reciprocity from the line
+integrals of exterior multipoles that couple it to the mode sum.  The
+theory then proceeds in three steps after shutoff.  First, once the
+outgoing transient has left the target region (t_tr = t0 + tau_tr), the
 interior field is still frozen at its pre-quench static configuration while
 the exterior has relaxed to a source-free magnetostatic potential; the
 mismatch of tangential H across the boundary is carried by a surface
@@ -32,9 +35,7 @@ import numpy as np
 from .core import ParameterError, ScaleSystem, TargetSpec, TimeMarkers, scales_for
 from .excitation import Loop, TimeSeries, UniformField, exterior_multipole_line_integral
 from .special import (
-    angular_grid,
     erfc,
-    project_scalar,
     spherical_harmonic,
     spherical_harmonic_dtheta,
     vector_spherical_harmonic,
@@ -117,53 +118,6 @@ class EarlySignal:
 # Step 0: illumination and the pre-quench static solution
 
 
-def _loop_axis_coefficients(loop: Loop, current_a: float, radius_m: float, max_l: int):
-    """Interior potential coefficients d_l of a coaxial circular loop.
-
-    From the Legendre expansion of the loop's on-axis solid angle: per
-    degree l the coefficient of (r/a)^l Y_l0 is
-
-        d_l = I sin(alpha) P_l^1(cos(alpha)) (a/s)^l sqrt(4 pi/(2l+1)) / (2 l),
-
-    with (s, alpha) the spherical position of the ring.
-    """
-    s = float(np.hypot(loop.radius_m, loop.height_m))
-    alpha = float(np.arctan2(loop.radius_m, loop.height_m))
-    out = {}
-    for l in range(1, max_l + 1):
-        # P_l^1(cos a) = dY_l0/dtheta / sqrt((2l+1)/4pi)
-        pl1 = float(
-            np.real(spherical_harmonic_dtheta(l, 0, alpha, 0.0))
-        ) / np.sqrt((2 * l + 1) / (4.0 * np.pi))
-        d = (
-            current_a
-            * np.sin(alpha)
-            * pl1
-            * (radius_m / s) ** l
-            * np.sqrt(4.0 * np.pi / (2 * l + 1))
-            / (2.0 * l)
-        )
-        out[(l, 0)] = complex(d)
-    return out
-
-
-def _segment_h_field(vertices, current_a: float, points: np.ndarray) -> np.ndarray:
-    """Biot-Savart H field of a closed polygon at the given points (SI)."""
-    v = np.asarray(vertices, dtype=float)
-    h = np.zeros_like(points)
-    for p1, p2 in zip(v, np.roll(v, -1, axis=0)):
-        u = p2 - p1
-        w1 = points - p1
-        w2 = points - p2
-        cross = np.cross(u[None, :], w1)
-        denom = np.einsum("ij,ij->i", cross, cross)
-        f = np.einsum("j,ij->i", u, w1) / np.linalg.norm(w1, axis=1) - np.einsum(
-            "j,ij->i", u, w2
-        ) / np.linalg.norm(w2, axis=1)
-        h += cross * (f / denom)[:, None]
-    return current_a / (4.0 * np.pi) * h
-
-
 def illumination_coefficients(
     source,
     target: TargetSpec,
@@ -173,10 +127,12 @@ def illumination_coefficients(
 ) -> PotentialExpansion:
     """Expansion of the transmitter's static potential about the target center.
 
-    ``source`` may be a UniformField, a coaxial circular Loop or a polygonal
-    Loop (expanded by projecting the Biot-Savart normal field on the target
-    surface).  Coefficients are internal (per H_0 a); ``scales`` defaults to
-    the target's own scale system with H_0 = 1 A/m.
+    A UniformField is a pure dipole.  By reciprocity a Loop's coefficients
+    are d_lm = -i I sqrt(l(l+1)) conj(L_lm) / (l (2l+1) a), with L_lm its
+    `exterior_multipole_line_integral`; a circular loop keeps (l, 0), a
+    polygon every (l, m), for 1 <= l <= max_l.  Coefficients are internal
+    (per H_0 a); ``scales`` defaults to the target's own scale system with
+    H_0 = 1 A/m.
     """
     if scales is None:
         scales = scales_for(target)
@@ -190,24 +146,15 @@ def illumination_coefficients(
         raise ParameterError("source must be a UniformField or a Loop")
     if source.min_distance_m() <= target.radius_m:
         raise ParameterError("transmitter loop intersects the target sphere")
-    if source.kind == "circular":
-        raw = _loop_axis_coefficients(source, source_current_a, target.radius_m, max_l)
-        exp.growing = {lm: c / pot_scale for lm, c in raw.items()}
-        return exp
-    # polygonal: project n.H on the target surface; H_r = -dPhi/dr gives
-    # d_lm = -(a/l) <Y_lm, H_r> at r = a
-    grid = angular_grid(max(2 * max_l + 8, 24), max(2 * max_l + 8, 32))
     a = target.radius_m
-    sin_th = np.sin(grid.theta)
-    rhat = np.stack(
-        [sin_th * np.cos(grid.phi), sin_th * np.sin(grid.phi), np.cos(grid.theta)], axis=1
-    )
-    hvec = _segment_h_field(source.vertices, source_current_a, a * rhat)
-    hr = np.einsum("ij,ij->i", hvec, rhat)
     exp.growing = {
-        (l, m): complex(-(a / l) * coeff / pot_scale)
-        for (l, m), coeff in project_scalar(hr, grid, max_l).items()
-        if l >= 1
+        (l, m): complex(
+            -1j * source_current_a * np.sqrt(l * (l + 1.0))
+            * np.conj(exterior_multipole_line_integral(l, m, source, a))
+            / (l * (2 * l + 1) * a * pot_scale)
+        )
+        for l in range(1, max_l + 1)
+        for m in ((0,) if source.kind == "circular" else range(-l, l + 1))
     }
     return exp
 

@@ -40,7 +40,7 @@ from .special import (
     vector_spherical_harmonic,
 )
 
-LINE_INTEGRAL_ORDER = 16  # Gauss-Legendre nodes per polygon segment
+LINE_INTEGRAL_ORDER = 32  # Gauss-Legendre nodes per polygon segment
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class UniformField:
 
 @dataclass
 class TimeSeries:
-    """Sampled signal: strictly increasing gate times and finite values."""
+    """Sampled signal: finite, strictly increasing gate times and finite values."""
 
     times_s: np.ndarray
     values: np.ndarray
@@ -164,6 +164,8 @@ class TimeSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.times_s.shape != self.values.shape:
             raise ParameterError("times and values must have equal shape")
+        if not np.all(np.isfinite(self.times_s)):
+            raise ParameterError("gate times must be finite")
         if np.any(np.diff(self.times_s) <= 0):
             raise ParameterError("gate times must be strictly increasing")
         if not np.all(np.isfinite(self.values)):

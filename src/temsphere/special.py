@@ -1,4 +1,4 @@
-"""Spherical Bessel functions, spherical harmonics, sphere quadrature and erfc.
+"""Spherical Bessel functions, spherical harmonics, Gauss-Legendre rules and erfc.
 
 Conventions
 -----------
@@ -22,7 +22,6 @@ stable (it loses all accuracy for x < l).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -264,38 +263,7 @@ def vector_spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quadrature on the sphere
-
-
-@dataclass(frozen=True)
-class AngularGrid:
-    """Product quadrature grid: Gauss-Legendre in cos(theta), uniform in phi.
-
-    Exact for integrands of harmonic degree up to 2*n_theta - 1 in theta
-    and bandwidth n_phi - 1 in phi.
-    """
-
-    theta: np.ndarray
-    phi: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.theta.size
-
-
-@lru_cache(maxsize=8)
-def angular_grid(n_theta: int = 32, n_phi: int = 64) -> AngularGrid:
-    """The (n_theta, n_phi) grid, built once per size; its arrays are read-only."""
-    nodes, wts = _gauss_legendre(n_theta)
-    th = np.arccos(nodes)
-    ph = np.arange(n_phi) * 2.0 * np.pi / n_phi
-    th2, ph2 = np.meshgrid(th, ph, indexing="ij")
-    w2 = np.outer(wts, np.full(n_phi, 2.0 * np.pi / n_phi))
-    grid = AngularGrid(theta=th2.ravel(), phi=ph2.ravel(), weights=w2.ravel())
-    for arr in (grid.theta, grid.phi, grid.weights):
-        arr.flags.writeable = False
-    return grid
+# quadrature
 
 
 @lru_cache(maxsize=16)
@@ -305,13 +273,3 @@ def _gauss_legendre(order: int) -> tuple:
     nodes.flags.writeable = False
     wts.flags.writeable = False
     return nodes, wts
-
-
-def project_scalar(values: np.ndarray, grid: AngularGrid, max_l: int) -> dict:
-    """Y_lm coefficients of a scalar field sampled on ``grid``."""
-    out = {}
-    for l in range(max_l + 1):
-        for m in range(-l, l + 1):
-            y = spherical_harmonic(l, m, grid.theta, grid.phi)
-            out[(l, m)] = complex(np.sum(grid.weights * np.conj(y) * values))
-    return out

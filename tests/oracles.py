@@ -5,11 +5,21 @@ quantity that the package computes another way: the array excitation of
 `compute_excitation`, the radial mode profile, the early-time potential
 prefactor of the spectral pipeline, and the product-rule derivative of the
 eigencondition against the Newton pair `modes._eigencondition_fdf`.
+
+The transmitter coupling has two references of its own.  The package
+takes a loop's illumination from the exterior-multipole line integral by
+reciprocity; `grid_illumination_coefficients` instead projects the loop's
+Biot-Savart normal field on a sphere quadrature grid (`angular_grid`,
+`project_scalar`), and `polygon_line_integral` redoes the line integral
+with a fine Gauss-Legendre rule in Cartesian components.
 """
 
-import numpy as np
+from dataclasses import dataclass
 
-from temsphere.core import MU_0, ParameterError, TargetSpec
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+
+from temsphere.core import MU_0, ParameterError, TargetSpec, scales_for
 from temsphere.excitation import (
     Loop,
     PulseWaveform,
@@ -20,7 +30,7 @@ from temsphere.excitation import (
     pulse_history_integral,
 )
 from temsphere.modes import Mode
-from temsphere.special import spherical_bessel_j
+from temsphere.special import spherical_bessel_j, spherical_harmonic, vector_spherical_harmonic
 
 
 def spherical_bessel_j_derivative(l: int, x) -> np.ndarray | float:
@@ -106,3 +116,104 @@ def potential_decay_prefactor(l: int, mu_c: float, mu_b: float) -> float:
         * (1.0 + l * mu_c / ((l + 1.0) * mu_b))
         * np.sqrt(4.0 / np.pi)
     )
+
+
+@dataclass(frozen=True)
+class AngularGrid:
+    """Product quadrature grid: Gauss-Legendre in cos(theta), uniform in phi.
+
+    Exact for integrands of harmonic degree up to 2*n_theta - 1 in theta
+    and bandwidth n_phi - 1 in phi.
+    """
+
+    theta: np.ndarray
+    phi: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.theta.size
+
+
+def angular_grid(n_theta: int, n_phi: int) -> AngularGrid:
+    """The (n_theta, n_phi) product grid on the unit sphere."""
+    nodes, wts = leggauss(n_theta)
+    ph = np.arange(n_phi) * 2.0 * np.pi / n_phi
+    th2, ph2 = np.meshgrid(np.arccos(nodes), ph, indexing="ij")
+    w2 = np.outer(wts, np.full(n_phi, 2.0 * np.pi / n_phi))
+    return AngularGrid(theta=th2.ravel(), phi=ph2.ravel(), weights=w2.ravel())
+
+
+def project_scalar(values: np.ndarray, grid: AngularGrid, max_l: int) -> dict:
+    """Y_lm coefficients of a scalar field sampled on ``grid``."""
+    out = {}
+    for l in range(max_l + 1):
+        for m in range(-l, l + 1):
+            y = spherical_harmonic(l, m, grid.theta, grid.phi)
+            out[(l, m)] = complex(np.sum(grid.weights * np.conj(y) * values))
+    return out
+
+
+def segment_h_field(vertices, current_a: float, points: np.ndarray) -> np.ndarray:
+    """Biot-Savart H field of a closed polygon at the given points (SI)."""
+    v = np.asarray(vertices, dtype=float)
+    h = np.zeros_like(points)
+    for p1, p2 in zip(v, np.roll(v, -1, axis=0)):
+        u = p2 - p1
+        w1 = points - p1
+        w2 = points - p2
+        cross = np.cross(u[None, :], w1)
+        denom = np.einsum("ij,ij->i", cross, cross)
+        f = np.einsum("j,ij->i", u, w1) / np.linalg.norm(w1, axis=1) - np.einsum(
+            "j,ij->i", u, w2
+        ) / np.linalg.norm(w2, axis=1)
+        h += cross * (f / denom)[:, None]
+    return current_a / (4.0 * np.pi) * h
+
+
+def grid_illumination_coefficients(
+    loop: Loop, target: TargetSpec, max_l: int, source_current_a: float
+) -> dict:
+    """Source coefficients d_lm, l >= 1, of a polygonal loop, per H_0 a
+    with the target's own scale system (H_0 = 1 A/m).
+
+    Projects n.H of the loop's Biot-Savart field on the target surface;
+    H_r = -dPhi/dr gives d_lm = -(a/l) <Y_lm, H_r> at r = a.
+    """
+    grid = angular_grid(max(2 * max_l + 8, 24), max(2 * max_l + 8, 32))
+    a = target.radius_m
+    sin_th = np.sin(grid.theta)
+    rhat = np.stack(
+        [sin_th * np.cos(grid.phi), sin_th * np.sin(grid.phi), np.cos(grid.theta)], axis=1
+    )
+    hr = np.einsum("ij,ij->i", segment_h_field(loop.vertices, source_current_a, a * rhat), rhat)
+    pot_scale = scales_for(target).factor("potential")
+    return {
+        (l, m): complex(-(a / l) * coeff / pot_scale)
+        for (l, m), coeff in project_scalar(hr, grid, max_l).items()
+        if l >= 1
+    }
+
+
+def polygon_line_integral(l: int, m: int, loop: Loop, radius_m: float, order: int) -> complex:
+    """oint (a/r)^(l+1) X_lm . dl along a polygon, ``order`` Gauss nodes per side.
+
+    Sums over the nodes in Cartesian components: X_lm is rotated out of its
+    (theta, phi) frame at each node and dotted with the side vector.
+    """
+    v = np.asarray(loop.vertices, dtype=float)
+    nodes, wts = leggauss(order)
+    total = 0.0 + 0.0j
+    for p1, p2 in zip(v, np.roll(v, -1, axis=0)):
+        pts = p1 + np.outer(0.5 * (nodes + 1.0), p2 - p1)
+        x, y, z = pts.T
+        r = np.sqrt(x * x + y * y + z * z)
+        theta, phi = np.arccos(z / r), np.arctan2(y, x)
+        xs = vector_spherical_harmonic(l, m, theta, phi)
+        e_theta = np.stack(
+            [np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi), -np.sin(theta)]
+        )
+        e_phi = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+        cart = xs[1] * e_theta + xs[2] * e_phi
+        total += np.sum(0.5 * wts * (radius_m / r) ** (l + 1) * ((p2 - p1) @ cart))
+    return complex(total)

@@ -234,6 +234,28 @@ class TestSimulateCommand:
         assert result.returncode == 2
 
 
+class TestNonFiniteInput:
+    """Non-finite gates and data cells exit 2 or 3 naming the flag or the
+    line, and write nothing under --out (scan points: TestPublish)."""
+
+    @pytest.mark.parametrize("gates", ["1e-6,inf,5", "1e-6,nan,5", "nan,1e-3,5"])
+    def test_gates_exit_2(self, tmp_path, config_path, capsys, gates):
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(config_path), "--out", str(out), "--gates", gates]
+        assert cli.main(argv) == 2
+        assert "--gates" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["inf,0.25", "nan,0.25", "4e-3,nan", "4e-3,-inf"])
+    def test_data_row_exit_3(self, tmp_path, capsys, row):
+        data = tmp_path / "data.csv"
+        data.write_text(f"t_s,value\n1e-3,1.0\n2e-3,0.5\n{row}\n8e-3,0.125\n")
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--data", str(data), "--out", str(out), "--terms", "1"]) == 3
+        assert "line 4" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEarlyCommand:
     def test_report_contains_closed_form_checks(self, tmp_path, config_path):
         out = tmp_path / "early"
@@ -537,8 +559,11 @@ class TestPublish:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--scan", "0.3,1.0,0.5"], ["--gates", "1e-6,1e-4,10", "--scan", "0.03,1.0,0.5"]],
-        ids=["scan-without-gates", "scan-inside-target"],
+        [["--scan", "0.3,1.0,0.5"], ["--gates", "1e-6,1e-4,10", "--scan", "0.03,1.0,0.5"]]
+        + [["--gates", "1e-6,1e-4,10", "--scan", p]
+           for p in ("0.3,nan,0.5", "nan,1,1", "inf,1,1", "0.3,1,-inf")],
+        ids=["scan-without-gates", "scan-inside-target", "scan-nan-theta", "scan-nan-r",
+             "scan-inf-r", "scan-inf-phi"],
     )
     def test_failing_early_writes_nothing(self, tmp_path, small_config, capsys, flags):
         out = tmp_path / "out"

@@ -12,13 +12,12 @@ from temsphere.earlytime import (
     surface_current_closed_form,
 )
 from temsphere.special import (
-    angular_grid,
     spherical_harmonic,
     spherical_harmonic_dtheta,
     vector_spherical_harmonic,
 )
 
-from oracles import potential_decay_prefactor
+from oracles import angular_grid, grid_illumination_coefficients, potential_decay_prefactor
 
 
 def unit_illumination(l, m):
@@ -26,6 +25,13 @@ def unit_illumination(l, m):
     exp = ts.PotentialExpansion()
     exp.interior[(l, m)] = 1.0 + 0.0j
     return exp
+
+
+GOLDEN_SQUARE = ((-0.25, -0.3, 0.3), (0.35, -0.3, 0.3), (0.35, 0.3, 0.3), (-0.25, 0.3, 0.3))
+GOLDEN_TRIANGLE = ((0.3, 0.05, 0.35), (-0.2, 0.3, 0.35), (-0.15, -0.3, 0.35))
+# forward-sweep-style square whose near side passes 3.8 target radii
+# (a = 0.0843 m) from the center
+NEAR_SQUARE = ((-0.4, -0.25, 0.2), (0.6, -0.25, 0.2), (0.6, 0.25, 0.2), (-0.4, 0.25, 0.2))
 
 
 class TestIllumination:
@@ -94,6 +100,23 @@ class TestIllumination:
         )
         exact = current * rho**2 / (2.0 * (rho**2 + (h - z) ** 2) ** 1.5)
         assert hz == pytest.approx(exact, rel=1e-4)  # polygon discretization
+
+    @pytest.mark.parametrize(
+        "vertices, radius_m, max_l",
+        [(GOLDEN_SQUARE, 0.05, 4), (GOLDEN_TRIANGLE, 0.05, 4),
+         (NEAR_SQUARE, 0.0843, 1), (NEAR_SQUARE, 0.0843, 6)],
+        ids=["golden-square", "golden-triangle", "near-square-l1", "near-square-l6"],
+    )
+    def test_polygon_matches_grid_projection(self, aluminum, vertices, radius_m, max_l):
+        # the line-integral path against the Biot-Savart field projected on
+        # a surface quadrature grid
+        target = ts.TargetSpec(radius_m=radius_m, material=aluminum)
+        loop = ts.Loop(kind="polygon", vertices=vertices)
+        ill = ts.illumination_coefficients(loop, target, max_l, source_current_a=1.3)
+        ref = grid_illumination_coefficients(loop, target, max_l, 1.3)
+        assert list(ill.growing) == list(ref)
+        top = max(abs(d) for d in ref.values())
+        assert max(abs(ill.growing[lm] - d) for lm, d in ref.items()) < 1e-12 * top
 
     def test_loop_through_target_rejected(self, aluminum_sphere):
         loop = ts.Loop(kind="circular", radius_m=0.01, height_m=0.0)

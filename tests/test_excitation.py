@@ -10,7 +10,12 @@ from temsphere.core import ParameterError
 from temsphere.excitation import exterior_multipole_line_integral, pulse_history_integral
 from temsphere.special import vector_spherical_harmonic
 
-from oracles import coil_line_integral, excitation_amplitude, voltage_coefficient
+from oracles import (
+    coil_line_integral,
+    excitation_amplitude,
+    polygon_line_integral,
+    voltage_coefficient,
+)
 
 
 class TestPulseHistoryIntegral:
@@ -106,6 +111,18 @@ class TestCoilLineIntegral:
         # azimuthal orthogonality survives discretization
         assert abs(exterior_multipole_line_integral(1, 1, poly, a)) < 1e-8
 
+    def test_polygon_matches_fine_rule(self):
+        # a forward-sweep-style square whose near side passes 3.8 target
+        # radii from the center, against a 160-node rule per side
+        a = 0.0843
+        loop = ts.Loop(kind="polygon", vertices=(
+            (-0.4, -0.25, 0.2), (0.6, -0.25, 0.2), (0.6, 0.25, 0.2), (-0.4, 0.25, 0.2)))
+        keys = [(l, m) for l in range(1, 7) for m in range(-l, l + 1)]
+        ref = {lm: polygon_line_integral(*lm, loop, a, order=160) for lm in keys}
+        top = max(abs(v) for v in ref.values())
+        err = max(abs(exterior_multipole_line_integral(*lm, loop, a) - ref[lm]) for lm in keys)
+        assert err < 1e-13 * top
+
     def test_orientation_flip_changes_sign(self, aluminum_sphere):
         a = aluminum_sphere.radius_m
         verts = ((0.3, 0.0, 0.2), (0.0, 0.3, 0.2), (-0.3, -0.3, 0.2))
@@ -119,6 +136,13 @@ class TestCoilLineIntegral:
         loop = ts.Loop(kind="circular", radius_m=0.01, height_m=0.0)
         with pytest.raises(ParameterError):
             exterior_multipole_line_integral(1, 0, loop, aluminum_sphere.radius_m)
+
+
+class TestTimeSeries:
+    @pytest.mark.parametrize("times", [[1.0, np.nan, 3.0], [1.0, 2.0, np.inf]])
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(ParameterError, match="finite"):
+            ts.TimeSeries(times_s=times, values=[1.0, 0.5, 0.25])
 
 
 class TestExcitationAmplitudes:
