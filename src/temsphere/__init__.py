@@ -41,6 +41,7 @@ from .excitation import (
     TimeSeries,
     UniformField,
     compute_excitation,
+    coupling_table,
     pulse_history_integral,
     synthesize_voltage,
     truncation_bound,
@@ -62,13 +63,7 @@ from .earlytime import (
     static_sphere_response,
     surface_current,
 )
-from .composite import (
-    CrosscheckResult,
-    RegimeReport,
-    compose_response,
-    crosscheck_amplitude,
-    regime_boundaries,
-)
+from .composite import RegimeReport, compose_response, regime_boundaries
 from .inversion import (
     DecayModel,
     FitResult,

@@ -1,25 +1,13 @@
-"""Three-regime response assembly and the mode-sum/early-time cross-check.
+"""Three-regime response assembly.
 
 The mode sum is exact once enough overtones are retained but useless
 earlier than its truncation allows; the early-time law is exact as
 t -> t_tr but degrades like sqrt(t/tau_c).  ``compose_response`` splices
 the two over a one-decade blend window with log-linear weights, and only
 where ``regime_boundaries``, running that same splice, found it accurate.
-
-``crosscheck_amplitude`` is the central validation: the t^(-1/2) amplitude
-extracted from the numerically synthesized mode sum must agree with the
-independently computed early-time amplitude.  The extraction fits a single
-scale factor against the known spectral shape
-
-    V(t) sqrt(t) ~ c * sqrt(t) sum_n v(x_n) exp(-x_n^2 t/tau_c),
-    v(x) = x^2 / (x^2 + h^2),  h^2 = l (mu-1) (l (mu-1) + 2l + 1),
-
-where v is the exact coupling correction implied by the eigencondition
-(for mu = 1 it is identically 1).  Using the shape as a template removes
-the finite-permeability transfer bias that otherwise masks the asymptote
-at reachable gate times; the amplitude itself remains a free parameter, so
-the comparison tests every constant of both pipelines but the transmitter
-coupling, which they share (Biot-Savart oracles in the tests check it).
+Both models read one coil coupling table (`excitation.coupling_table`), so
+the splice compares the mode sum's spectral shape with the early law, not
+two couplings.
 """
 
 from __future__ import annotations
@@ -31,14 +19,7 @@ import numpy as np
 from .core import ParameterError, TimeMarkers
 from .earlytime import EarlySignal
 from .excitation import ExcitationCoefficients, TimeSeries, synthesize_voltage
-from .modes import ModeLibrary, sector_spectrum
-
-# crosscheck_amplitude: gate window in units of tau_c, gate count, least
-# template length and the largest fit residual of a conclusive comparison
-CROSSCHECK_WINDOW = (1.5e-5, 5e-4)
-CROSSCHECK_GATES = 40
-CROSSCHECK_TEMPLATE_COUNT = 800
-CROSSCHECK_RESIDUAL_MAX = 0.05
+from .modes import ModeLibrary
 
 
 @dataclass(frozen=True)
@@ -61,17 +42,6 @@ class RegimeReport:
     blend_hi_s: float
     early_ok: bool
     blend_mismatch: float
-
-
-@dataclass(frozen=True)
-class CrosscheckResult:
-    """Outcome of the mode-sum vs early-time amplitude comparison."""
-
-    deviation: float
-    mode_amplitude: float
-    early_amplitude: float
-    fit_residual: float
-    conclusive: bool
 
 
 def _splice(t, early, mode, lo, hi):
@@ -182,55 +152,3 @@ def compose_response(
     metadata["regime"] = regime
     metadata["weights"] = w
     return TimeSeries(times_s=t, values=vals, metadata=metadata)
-
-
-def crosscheck_amplitude(
-    library: ModeLibrary,
-    coeffs: ExcitationCoefficients,
-    early_amplitude: float,
-    markers: TimeMarkers,
-) -> CrosscheckResult:
-    """Compare the mode-sum power-law amplitude against the early-time one.
-
-    Requires a single-sector library (one l).  The mode voltage is
-    synthesized on `CROSSCHECK_GATES` log gates across `CROSSCHECK_WINDOW`
-    (in units of tau_c), then a scale factor is fitted against the spectral
-    template built from an extended wavenumber ladder (the cached sector
-    spectrum, at least `CROSSCHECK_TEMPLATE_COUNT` roots); the template's
-    t -> 0 amplitude converts the scale to the asymptotic
-    c_mode = fit * sqrt(tau_c) / (2 sqrt(pi)).
-    A fit residual above `CROSSCHECK_RESIDUAL_MAX` marks the comparison
-    inconclusive rather than reporting a deviation.
-    """
-    sectors = set(library.columns.l.tolist())
-    if len(sectors) != 1:
-        raise ParameterError("crosscheck requires a single-sector (single-l) library")
-    if early_amplitude == 0.0:
-        raise ParameterError("early-time amplitude must be nonzero")
-    l = sectors.pop()
-    mu_ratio = (
-        library.target.material.relative_permeability / library.background_mu_r
-    )
-    tau_c = markers.tau_c_s
-    lo, hi = CROSSCHECK_WINDOW
-    tau = np.geomspace(lo * tau_c, hi * tau_c, CROSSCHECK_GATES)
-    series = synthesize_voltage(library, coeffs, tau)
-    y = series.values * np.sqrt(tau)
-    count = max(CROSSCHECK_TEMPLATE_COUNT, 2 * len(library))
-    xs, _ = sector_spectrum(l, mu_ratio, count)
-    h2 = l * (mu_ratio - 1.0) * (l * (mu_ratio - 1.0) + 2.0 * l + 1.0)
-    v = xs * xs / (xs * xs + h2)
-    template = np.sqrt(tau) * (np.exp(-np.outer(tau / tau_c, xs * xs)) @ v)
-    scale = float(template @ y) / float(template @ template)
-    residual = float(
-        np.sqrt(np.mean((y - scale * template) ** 2)) / np.mean(np.abs(y))
-    )
-    mode_amplitude = scale * np.sqrt(tau_c) / (2.0 * np.sqrt(np.pi))
-    deviation = abs(mode_amplitude - early_amplitude) / abs(early_amplitude)
-    return CrosscheckResult(
-        deviation=float(deviation),
-        mode_amplitude=float(mode_amplitude),
-        early_amplitude=float(early_amplitude),
-        fit_residual=residual,
-        conclusive=residual <= CROSSCHECK_RESIDUAL_MAX,
-    )

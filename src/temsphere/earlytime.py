@@ -14,7 +14,14 @@ a Neumann condition at z = 0.  Third, the normal flux change at the
 boundary feeds an exterior potential correction whose time derivative gives
 the receiver voltage, proportional to (t - t_tr)^(-1/2) for every harmonic.
 
-Everything here is computed per (l, m) in dimensionless internal units
+Every stage is diagonal in (l, m), and composed they cancel both l and
+mu_b: the voltage term of a harmonic is a material factor times the coil
+coupling I conj(L_tx,lm) L_rx,lm that the mode sum carries too, so the
+t^(-1/2) amplitude reflects the coil geometry alone.  `early_signal` reads
+that coupling table; the stages remain for the per-stage report and the
+exterior field scan.
+
+The stages are computed per (l, m) in dimensionless internal units
 (lengths in a, times in a^2/D_c, fields in H_0, mu_0 = 1); permeabilities
 enter only as the relative values mu_c, mu_b.  SI conversion happens at the
 interface operations via :class:`~temsphere.core.ScaleSystem`.
@@ -99,7 +106,8 @@ class EarlySignal:
     """Early-time receiver signal V(t) = amplitude / sqrt(t - t_ref).
 
     ``amplitude_v_sqrt_s`` is the SI power-law amplitude (V sqrt(s));
-    ``per_harmonic`` maps (l, m) to its contribution.
+    ``per_harmonic`` maps (l, m) to its complex term in the same unit, and
+    the real parts of the terms sum to the amplitude.
     """
 
     amplitude_v_sqrt_s: float
@@ -457,31 +465,28 @@ def early_voltage(signal: EarlySignal, gates_s) -> TimeSeries:
 
 
 def early_signal(
-    pipeline: EarlyPipeline,
-    rx: Loop,
-    markers: TimeMarkers,
-    scales: ScaleSystem,
-    target: TargetSpec,
+    coupling: dict, rx: Loop, markers: TimeMarkers, target: TargetSpec
 ) -> EarlySignal:
-    """Power-law amplitude of the early-time receiver voltage (SI)."""
+    """Power-law amplitude of the early-time receiver voltage (SI).
+
+    Composed, the stages of `run_early_pipeline` (illumination, static
+    response, quench, sheet, curl and exterior correction) cancel both l
+    and mu_b: harmonic (l, m) contributes N_R sqrt(tau_c/pi) G_lm /
+    (sigma a^3) in V sqrt(s), with ``coupling`` the `coupling_table` G of
+    the mode sum, and the amplitude is the sum of their real parts.
+    """
     a = target.radius_m
-    tau_c = markers.tau_c_s
-    mu_b = pipeline.mu_b
-    per = {}
-    total = 0.0 + 0.0j
-    for (l, m), c1 in pipeline.dphi_prefactor.decaying.items():
-        line = exterior_multipole_line_integral(l, m, rx, a) / a
-        term = 1j * mu_b * np.sqrt((l + 1.0) / l) * c1 * line / 2.0
-        per[(l, m)] = term
-        total += term
+    scale = rx.windings * np.sqrt(markers.tau_c_s / np.pi) / (
+        target.material.conductivity_s_per_m * a**3
+    )
+    per = {lm: complex(scale * g) for lm, g in coupling.items()}
+    total = sum(per.values(), 0.0 + 0.0j)
     if abs(total.imag) > 1e-9 * max(abs(total.real), 1e-300):
         raise ParameterError("unbalanced harmonic pairs leave a complex voltage")
-    # V_hat = N_R * total / sqrt(tau_hat); SI: V = V_hat * voltage_scale
-    amp = rx.windings * total.real * scales.factor("voltage") * np.sqrt(tau_c)
-    window = (TRANSIENT_GUARD * markers.tau_tr_s, WINDOW_FRACTION * tau_c)
+    window = (TRANSIENT_GUARD * markers.tau_tr_s, WINDOW_FRACTION * markers.tau_c_s)
     return EarlySignal(
-        amplitude_v_sqrt_s=float(amp),
+        amplitude_v_sqrt_s=float(total.real),
         t_ref_s=markers.t_tr_s,
         window_s=window,
-        per_harmonic={k: complex(v) for k, v in per.items()},
+        per_harmonic=per,
     )

@@ -1,19 +1,31 @@
 """Transmitter pulses, coil coupling integrals and mode-sum voltages.
 
-The free-decay vector potential is a superposition over normalized modes,
+The free-decay vector potential is a superposition over normalized modes
+a_n = N j_l(x_n r/a) X_lm, with amplitudes fixed by the transmitter current
+history and the line integral of the mode profile along the (idealized
+1-D) transmitter curve; the receiver reads each mode out through its own
+line integral:
 
-    A(x, t) = sum_n A_n a_n(x) exp(-lambda_n (t - t0)),
+    A_n = mu_0 I_n conj(N j_l(x_n) L_tx,lm),
+    V_n = lambda_n N_R A_n N j_l(x_n) L_rx,lm,
+    I_n = int_-inf^t0 I(t') exp(-lambda_n (t0 - t')) dt',
 
-with excitation amplitudes fixed by the transmitter current history and the
-line integral of the mode profile along the (idealized 1-D) transmitter
-curve:
+with L_lm the `exterior_multipole_line_integral` of the loop and the
+stored m = 0 mode standing for its 2l+1 degenerate partners.  The mu_0-sigma
+normalization at a root of the eigencondition gives
+mu_0 sigma a^3 N^2 j_l(x_n)^2 = 2 v_l(x_n), so no Bessel value or norm is
+left in the voltage:
 
-    A_n = mu_0 I_n oint_T conj(a_n) . dl,
-    I_n = int_-inf^t0 I0(t') exp(-lambda_n (t0 - t')) dt'.
+    V_n = C_l v_l(x_n) lambda_n I_n / I_0,
+    C_l = 2 N_R sum_m Re(G_lm) / (sigma a^3),  G_lm = I_0 conj(L_tx,lm) L_rx,lm,
+    v_l(x) = x^2 / (x^2 + h_l^2),  h_l^2 = l (mu-1) (l (mu-1) + 2l + 1),
 
-The receiver voltage follows as V(t) = sum_n V_n exp(-lambda_n (t - t0))
-with V_n = lambda_n N_R A_n oint_R a_n . dl.  With the mu_0-sigma mode
-normalization these formulas carry no further constants.
+with I_0 the effective transmitter current and mu = mu_c/mu_b.  G is the
+`coupling_table`; the early-time law reads the same table
+(`earlytime.early_signal`).  A uniform field H0 z-hat enters as its
+analytic dipole I_0 conj(L_tx,10) = -3i H0 a^2 sqrt(2 pi/3), the
+reciprocity image of its illumination d_10, so one formula covers every
+transmitter.  The per-mode formulas above are kept as test references.
 
 Sign convention: voltage is positive for decreasing secondary flux through
 the receiver loop oriented along +phi; for coincident transmitter/receiver
@@ -30,12 +42,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MU_0, ParameterError, TargetSpec, diffusivity
+from .core import ParameterError, TargetSpec, diffusivity
 from .modes import ModeLibrary
 from .special import (
     _gauss_legendre,
     erfc,
-    spherical_bessel_j,
     spherical_harmonic_dtheta,
     vector_spherical_harmonic,
 )
@@ -117,9 +128,10 @@ class Loop:
             return float(np.hypot(self.radius_m, self.height_m))
         v = np.array(self.vertices)
         seg = np.roll(v, -1, axis=0) - v
-        t = np.linspace(0.0, 1.0, 33)
-        pts = v[:, None, :] + seg[:, None, :] * t[None, :, None]
-        return float(np.min(np.linalg.norm(pts.reshape(-1, 3), axis=1)))
+        # nearest point of each side: the origin's projection, clamped to the side
+        len2 = np.maximum(np.einsum("ij,ij->i", seg, seg), np.finfo(float).tiny)
+        t = np.clip(-np.einsum("ij,ij->i", v, seg) / len2, 0.0, 1.0)
+        return float(np.min(np.linalg.norm(v + t[:, None] * seg, axis=1)))
 
 
 def _vertex_rows(vertices) -> tuple:
@@ -174,10 +186,11 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class ExcitationCoefficients:
-    """Per-mode pulse integrals I_n, amplitudes A_n and voltages V_n."""
+    """Per-mode pulse integrals I_n and voltages V_n, with the coupling table
+    G_lm (`coupling_table`) they were built from."""
 
     pulse_integrals: np.ndarray
-    amplitudes: np.ndarray
+    coupling: dict
     voltages: np.ndarray
 
 
@@ -274,77 +287,58 @@ def exterior_multipole_line_integral(l: int, m: int, loop: Loop, radius_m: float
     return complex(np.sum((a / g.r) ** (l + 1) * field_dot_dl))
 
 
-def _uniform_field_amplitude(target: TargetSpec, mu_b: float, h0: float, l, m, x, norm):
-    """Static-projection amplitude for uniform axial illumination, l = 1.
+def coupling_table(target: TargetSpec, tx, rx: Loop, max_l: int, current_a: float) -> dict:
+    """Coil coupling G_lm = I conj(L_tx,lm) L_rx,lm per (l, m), 1 <= l <= max_l (A m^2).
 
-    Step-off from a dc uniform field H0 z-hat: the amplitude is the
-    mu_0-sigma projection of the static interior vector potential
-    A_phi = (B_in/2) r sin(theta) onto the mode, with B_in the uniform
-    interior flux density of the magnetized sphere.  The projection is real
-    against the real azimuthal basis i X_10; the leading i restores the
-    X_lm phase convention shared with the line integrals.  The mode
-    arguments may be arrays; modes other than (l, m) = (1, 0) get 0.
+    L is `exterior_multipole_line_integral`, evaluated once per (loop, l, m);
+    when either loop is circular only m = 0 couples and only m = 0 is
+    computed.  A `UniformField` transmitter enters as its analytic dipole
+    I conj(L_tx,10) = -3i H0 a^2 sqrt(2 pi/3) at (1, 0) alone, which
+    ``current_a`` does not scale.  Loops touching the target are rejected.
     """
-    mu_c = target.material.relative_permeability
-    h_in = 3.0 * mu_b * h0 / (mu_c + 2.0 * mu_b)
-    b_in = MU_0 * mu_c * h_in
-    sigma = target.material.conductivity_s_per_m
     a = target.radius_m
-    radial = spherical_bessel_j(2, x) / x  # int_0^1 j_1(x u) u^3 du
-    w_proj = -MU_0 * sigma * norm * (b_in / 2.0) * np.sqrt(8.0 * np.pi / 3.0) * a**4 * radial
-    return np.where((l == 1) & (m == 0), 1j * w_proj, 0.0)
-
-
-def _real_voltage(val):
-    """Real voltage coefficients; an imaginary part means an unpaired +/-m mode."""
-    val = np.asarray(val)
-    if np.any(np.abs(val.imag) > 1e-10 * np.maximum(np.abs(val.real), 1e-300)):
-        raise ParameterError(
-            "complex voltage coefficient: sum conjugate +/-m mode pairs instead"
-        )
-    return val.real
+    if isinstance(tx, UniformField):
+        drive = {(1, 0): -3j * tx.amplitude_a_per_m * a * a * math.sqrt(2.0 * math.pi / 3.0)}
+    elif isinstance(tx, Loop):
+        coaxial = "circular" in (tx.kind, rx.kind)
+        drive = {
+            (l, m): current_a * np.conj(exterior_multipole_line_integral(l, m, tx, a))
+            for l in range(1, max_l + 1)
+            for m in ((0,) if coaxial else range(-l, l + 1))
+        }
+    else:
+        raise ParameterError("transmitter must be a UniformField or a Loop")
+    return {
+        lm: complex(d * exterior_multipole_line_integral(*lm, rx, a)) for lm, d in drive.items()
+    }
 
 
 def compute_excitation(
     library: ModeLibrary, pulse: PulseWaveform, tx, rx: Loop
 ) -> ExcitationCoefficients:
-    """Pulse integrals, amplitudes and voltage coefficients for a library.
+    """Pulse integrals, coupling table and voltage coefficients for a library.
 
-    The stored modes carry the exact m degeneracy of the sphere implicitly;
-    for each (l, n) the voltage sums the transmitter/receiver coupling over
-    all m.  For coaxial circular loops only m = 0 survives.  Geometry is
-    computed once per (l, m); all else is an array expression over modes.
+    V_n = C_l v_l(x_n) lambda_n I_n / I_0 (see the module docstring), with
+    C_l summed over m from one `coupling_table`; all else is an array
+    expression over modes.
     """
     if not len(library):
         raise ParameterError("mode library is empty")
-    a = library.target.radius_m
+    target = library.target
     c = library.columns
-    ls, xs, norms, rates = c.l, c.x, c.norm, c.rate
-    i_n = pulse_history_integral(pulse, rates)
-    uniform = isinstance(tx, UniformField)
-    shape = np.empty_like(xs)  # N j_l(x): the mode profile on the surface
-    geom0 = np.empty(xs.shape, dtype=complex)  # m = 0 line integral (rx if uniform, else tx)
-    gsum = np.empty_like(xs)  # sum over m of Re(conj(tx_m) rx_m)
-    for l in sorted(set(ls.tolist())):
-        sel = ls == l
-        shape[sel] = norms[sel] * spherical_bessel_j(l, xs[sel])
-        if uniform:
-            geom0[sel] = exterior_multipole_line_integral(l, 0, rx, a)
-        else:
-            lt = [exterior_multipole_line_integral(l, m, tx, a) for m in range(-l, l + 1)]
-            lr = [exterior_multipole_line_integral(l, m, rx, a) for m in range(-l, l + 1)]
-            geom0[sel] = lt[l]
-            gsum[sel] = sum((np.conj(t) * r).real for t, r in zip(lt, lr))
-    if uniform:
-        beta = _uniform_field_amplitude(
-            library.target, library.background_mu_r, tx.amplitude_a_per_m, ls, 0, xs, norms
-        )
-        a_n = beta * rates * i_n / pulse.effective_current_a
-        v_n = _real_voltage(rates * rx.windings * a_n * (shape * geom0))
-    else:
-        a_n = MU_0 * i_n * np.conj(shape * geom0)
-        v_n = rates * rx.windings * MU_0 * i_n * shape * shape * gsum
-    return ExcitationCoefficients(pulse_integrals=i_n, amplitudes=a_n, voltages=v_n)
+    i0 = pulse.effective_current_a
+    i_n = pulse_history_integral(pulse, c.rate)
+    table = coupling_table(target, tx, rx, library.max_l, i0)
+    g = np.zeros(library.max_l + 1)
+    for (l, _), value in table.items():
+        g[l] += value.real
+    c_l = 2.0 * rx.windings * g / (target.material.conductivity_s_per_m * target.radius_m**3)
+    mu = target.material.relative_permeability / library.background_mu_r
+    ls, x2 = c.l, c.x * c.x
+    h2 = ls * (mu - 1.0) * (ls * (mu - 1.0) + 2 * ls + 1)
+    pulse_factor = c.rate * i_n / i0 if i0 else np.zeros_like(i_n)
+    voltages = c_l[ls] * x2 / (x2 + h2) * pulse_factor
+    return ExcitationCoefficients(pulse_integrals=i_n, coupling=table, voltages=voltages)
 
 
 def synthesize_voltage(

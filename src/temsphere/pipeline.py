@@ -1,7 +1,7 @@
 """End-to-end forward modeling from a parsed run configuration.
 
-Ties together mode-library construction, excitation, the early-time
-pipeline and the composite splice; used by the command-line front end and
+Ties together mode-library construction, excitation, the early-time law
+and the composite splice; used by the command-line front end and
 by classification (which forward-models every candidate).
 """
 
@@ -17,7 +17,6 @@ from .core import (
     TargetSpec,
     TimeMarkers,
     characteristic_times,
-    scales_for,
     validate_regime,
 )
 from .earlytime import EarlyPipeline, EarlySignal, early_signal, early_voltage, run_early_pipeline
@@ -27,6 +26,7 @@ from .excitation import (
     PulseWaveform,
     TimeSeries,
     compute_excitation,
+    coupling_table,
     synthesize_voltage,
 )
 from .modes import ModeLibrary, build_mode_library
@@ -60,7 +60,6 @@ class ForwardResult:
     early_series: TimeSeries
     composite: TimeSeries
     report: RegimeReport
-    early: EarlyPipeline
 
 
 def markers_for(config: RunConfig) -> TimeMarkers:
@@ -86,15 +85,16 @@ def build_library(config: RunConfig) -> ModeLibrary:
 def early_response(
     config: RunConfig, markers: TimeMarkers
 ) -> tuple[EarlyPipeline, EarlySignal]:
-    """Early-time pipeline and its receiver signal for one scenario."""
-    scales = scales_for(config.target)
-    tx = config.transmitter
-    current = config.pulse.effective_current_a if isinstance(tx, Loop) else 1.0
+    """Staged early-time pipeline and the receiver signal of one scenario.
+
+    The signal comes from the coupling table, as in `forward_model`; the
+    stages serve the per-stage report and the field scan.
+    """
+    tx, rx, current = config.transmitter, config.receiver, config.pulse.effective_current_a
     mu_b = config.environment.background.relative_permeability
-    early = run_early_pipeline(
-        config.target, mu_b, tx, config.max_l, scales=scales, source_current_a=current
-    )
-    return early, early_signal(early, config.receiver, markers, scales, config.target)
+    early = run_early_pipeline(config.target, mu_b, tx, config.max_l, source_current_a=current)
+    coupling = coupling_table(config.target, tx, rx, config.max_l, current)
+    return early, early_signal(coupling, rx, markers, config.target)
 
 
 def forward_model(
@@ -110,7 +110,7 @@ def forward_model(
     gates = np.asarray(gates_s, dtype=float)
     mode_ts = synthesize_voltage(library, coeffs, gates - markers.t0_s)
     mode_ts.times_s = gates
-    early, signal = early_response(config, markers)
+    signal = early_signal(coeffs.coupling, config.receiver, markers, config.target)
     early_ts = early_voltage(signal, gates)
     report = regime_boundaries(library, coeffs, markers, signal, config.regime_tol)
     composite = compose_response(mode_ts, early_ts, report)
@@ -132,7 +132,6 @@ def forward_model(
         early_series=early_ts,
         composite=composite,
         report=report,
-        early=early,
     )
 
 

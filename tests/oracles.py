@@ -1,10 +1,16 @@
 """Reference formulas that only the tests use.
 
 Each function here computes, one mode or one closed form at a time, a
-quantity that the package computes another way: the array excitation of
-`compute_excitation`, the radial mode profile, the early-time potential
-prefactor of the spectral pipeline, and the product-rule derivative of the
-eigencondition against the Newton pair `modes._eigencondition_fdf`.
+quantity that the package computes another way: the per-mode excitation
+that `compute_excitation` replaces by its coupling-table closed form, the
+radial mode profile, the early-time potential prefactor of the spectral
+pipeline, and the product-rule derivative of the eigencondition against
+the Newton pair `modes._eigencondition_fdf`.
+
+The early-time amplitude has two references.  `staged_early_signal` reads
+the receiver voltage out of the staged pipeline's exterior correction,
+where `earlytime.early_signal` takes it from the coupling table, and
+`crosscheck_amplitude` extracts it from a synthesized mode sum.
 
 The transmitter coupling has two references of its own.  The package
 takes a loop's illumination from the exterior-multipole line integral by
@@ -19,17 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from temsphere.core import MU_0, ParameterError, TargetSpec, scales_for
+from temsphere.core import MU_0, ParameterError, ScaleSystem, TargetSpec, TimeMarkers, scales_for
+from temsphere.earlytime import TRANSIENT_GUARD, WINDOW_FRACTION, EarlyPipeline, EarlySignal
 from temsphere.excitation import (
+    ExcitationCoefficients,
     Loop,
     PulseWaveform,
     UniformField,
-    _real_voltage,
-    _uniform_field_amplitude,
     exterior_multipole_line_integral,
     pulse_history_integral,
+    synthesize_voltage,
 )
-from temsphere.modes import Mode
+from temsphere.modes import Mode, ModeLibrary, sector_spectrum
 from temsphere.special import spherical_bessel_j, spherical_harmonic, vector_spherical_harmonic
 
 
@@ -70,6 +77,37 @@ def coil_line_integral(mode: Mode, loop: Loop) -> complex:
     """oint a_n . dl of the exterior mode profile along one loop winding."""
     geom = exterior_multipole_line_integral(mode.l, mode.m, loop, mode.radius_m)
     return mode.norm * spherical_bessel_j(mode.l, mode.x) * geom
+
+
+def _uniform_field_amplitude(target: TargetSpec, mu_b: float, h0: float, l, m, x, norm):
+    """Static-projection amplitude for uniform axial illumination, l = 1.
+
+    Step-off from a dc uniform field H0 z-hat: the amplitude is the
+    mu_0-sigma projection of the static interior vector potential
+    A_phi = (B_in/2) r sin(theta) onto the mode, with B_in the uniform
+    interior flux density of the magnetized sphere.  The projection is real
+    against the real azimuthal basis i X_10; the leading i restores the
+    X_lm phase convention shared with the line integrals.  The mode
+    arguments may be arrays; modes other than (l, m) = (1, 0) get 0.
+    """
+    mu_c = target.material.relative_permeability
+    h_in = 3.0 * mu_b * h0 / (mu_c + 2.0 * mu_b)
+    b_in = MU_0 * mu_c * h_in
+    sigma = target.material.conductivity_s_per_m
+    a = target.radius_m
+    radial = spherical_bessel_j(2, x) / x  # int_0^1 j_1(x u) u^3 du
+    w_proj = -MU_0 * sigma * norm * (b_in / 2.0) * np.sqrt(8.0 * np.pi / 3.0) * a**4 * radial
+    return np.where((l == 1) & (m == 0), 1j * w_proj, 0.0)
+
+
+def _real_voltage(val):
+    """Real voltage coefficients; an imaginary part means an unpaired +/-m mode."""
+    val = np.asarray(val)
+    if np.any(np.abs(val.imag) > 1e-10 * np.maximum(np.abs(val.real), 1e-300)):
+        raise ParameterError(
+            "complex voltage coefficient: sum conjugate +/-m mode pairs instead"
+        )
+    return val.real
 
 
 def excitation_amplitude(
@@ -115,6 +153,111 @@ def potential_decay_prefactor(l: int, mu_c: float, mu_b: float) -> float:
         (mu_c * l / mu_b)
         * (1.0 + l * mu_c / ((l + 1.0) * mu_b))
         * np.sqrt(4.0 / np.pi)
+    )
+
+
+def staged_early_signal(
+    pipeline: EarlyPipeline,
+    rx: Loop,
+    markers: TimeMarkers,
+    scales: ScaleSystem,
+    target: TargetSpec,
+) -> EarlySignal:
+    """Early-time signal read out of the staged pipeline (step 3), in SI.
+
+    Each exterior potential coefficient c_lm per unit sqrt(elapsed) gives
+    the voltage term N_R i mu_b sqrt((l+1)/l) c_lm L_rx,lm / (2a), in
+    internal units per sqrt(tau_hat); ``scales`` must be those the pipeline
+    ran with.
+    """
+    a = target.radius_m
+    to_si = rx.windings * scales.factor("voltage") * np.sqrt(markers.tau_c_s)
+    per = {}
+    for (l, m), c1 in pipeline.dphi_prefactor.decaying.items():
+        line = exterior_multipole_line_integral(l, m, rx, a) / a
+        per[(l, m)] = complex(to_si * 1j * pipeline.mu_b * np.sqrt((l + 1.0) / l) * c1 * line / 2.0)
+    total = sum(per.values(), 0.0 + 0.0j)
+    return EarlySignal(
+        amplitude_v_sqrt_s=float(total.real),
+        t_ref_s=markers.t_tr_s,
+        window_s=(TRANSIENT_GUARD * markers.tau_tr_s, WINDOW_FRACTION * markers.tau_c_s),
+        per_harmonic=per,
+    )
+
+
+# crosscheck_amplitude: gate window in units of tau_c, gate count, least
+# template length and the largest fit residual of a conclusive comparison
+CROSSCHECK_WINDOW = (1.5e-5, 5e-4)
+CROSSCHECK_GATES = 40
+CROSSCHECK_TEMPLATE_COUNT = 800
+CROSSCHECK_RESIDUAL_MAX = 0.05
+
+
+@dataclass(frozen=True)
+class CrosscheckResult:
+    """Outcome of the mode-sum vs early-time amplitude comparison."""
+
+    deviation: float
+    mode_amplitude: float
+    early_amplitude: float
+    fit_residual: float
+    conclusive: bool
+
+
+def crosscheck_amplitude(
+    library: ModeLibrary,
+    coeffs: ExcitationCoefficients,
+    early_amplitude: float,
+    markers: TimeMarkers,
+) -> CrosscheckResult:
+    """Compare the mode-sum power-law amplitude against the early-time one.
+
+    Requires a single-sector library (one l).  The mode voltage is
+    synthesized on `CROSSCHECK_GATES` log gates across `CROSSCHECK_WINDOW`
+    (in units of tau_c), then a scale factor is fitted against the spectral
+    template
+
+        V(t) sqrt(t) ~ c * sqrt(t) sum_n v(x_n) exp(-x_n^2 t/tau_c),
+        v(x) = x^2 / (x^2 + h^2),  h^2 = l (mu-1) (l (mu-1) + 2l + 1),
+
+    built from an extended wavenumber ladder (the cached sector spectrum, at
+    least `CROSSCHECK_TEMPLATE_COUNT` roots); the template's t -> 0
+    amplitude converts the scale to the asymptotic
+    c_mode = fit * sqrt(tau_c) / (2 sqrt(pi)).  A fit residual above
+    `CROSSCHECK_RESIDUAL_MAX` marks the comparison inconclusive rather than
+    reporting a deviation.
+    """
+    sectors = set(library.columns.l.tolist())
+    if len(sectors) != 1:
+        raise ParameterError("crosscheck requires a single-sector (single-l) library")
+    if early_amplitude == 0.0:
+        raise ParameterError("early-time amplitude must be nonzero")
+    l = sectors.pop()
+    mu_ratio = (
+        library.target.material.relative_permeability / library.background_mu_r
+    )
+    tau_c = markers.tau_c_s
+    lo, hi = CROSSCHECK_WINDOW
+    tau = np.geomspace(lo * tau_c, hi * tau_c, CROSSCHECK_GATES)
+    series = synthesize_voltage(library, coeffs, tau)
+    y = series.values * np.sqrt(tau)
+    count = max(CROSSCHECK_TEMPLATE_COUNT, 2 * len(library))
+    xs, _ = sector_spectrum(l, mu_ratio, count)
+    h2 = l * (mu_ratio - 1.0) * (l * (mu_ratio - 1.0) + 2.0 * l + 1.0)
+    v = xs * xs / (xs * xs + h2)
+    template = np.sqrt(tau) * (np.exp(-np.outer(tau / tau_c, xs * xs)) @ v)
+    scale = float(template @ y) / float(template @ template)
+    residual = float(
+        np.sqrt(np.mean((y - scale * template) ** 2)) / np.mean(np.abs(y))
+    )
+    mode_amplitude = scale * np.sqrt(tau_c) / (2.0 * np.sqrt(np.pi))
+    deviation = abs(mode_amplitude - early_amplitude) / abs(early_amplitude)
+    return CrosscheckResult(
+        deviation=float(deviation),
+        mode_amplitude=float(mode_amplitude),
+        early_amplitude=float(early_amplitude),
+        fit_residual=residual,
+        conclusive=residual <= CROSSCHECK_RESIDUAL_MAX,
     )
 
 

@@ -392,6 +392,12 @@ def voltage_setup(aluminum_sphere, environment):
     return pipe, markers, scales
 
 
+def uniform_signal(target, rx, markers):
+    """Early law of a unit uniform field, read off the coupling table."""
+    coupling = ts.coupling_table(target, ts.UniformField(1.0), rx, 1, 1.0)
+    return early_signal(coupling, rx, markers, target)
+
+
 class TestExternalFields:
     def test_inverse_sqrt_divergence_of_e(self, pipeline):
         tau = 2e-4
@@ -445,20 +451,18 @@ class TestExternalFields:
 
 class TestEarlyVoltage:
     def test_power_law_flatness(self, voltage_setup, aluminum_sphere, rx_loop):
-        pipeline, markers, scales = voltage_setup
+        _, markers, _ = voltage_setup
         gates = np.geomspace(1e-5, 1e-3, 25) * markers.tau_c_s
-        series = ts.early_voltage(
-            early_signal(pipeline, rx_loop, markers, scales, aluminum_sphere), gates
-        )
+        series = ts.early_voltage(uniform_signal(aluminum_sphere, rx_loop, markers), gates)
         y = series.values * np.sqrt(gates - markers.t_tr_s)
         assert np.max(np.abs(y / y[0] - 1.0)) < 1e-10
 
     def test_receiver_windings_scale(self, voltage_setup, aluminum_sphere):
-        pipeline, markers, scales = voltage_setup
+        _, markers, _ = voltage_setup
         rx1 = ts.Loop(kind="circular", radius_m=0.25, height_m=0.35, windings=1)
         rx2 = ts.Loop(kind="circular", radius_m=0.25, height_m=0.35, windings=2)
-        s1 = early_signal(pipeline, rx1, markers, scales, aluminum_sphere)
-        s2 = early_signal(pipeline, rx2, markers, scales, aluminum_sphere)
+        s1 = uniform_signal(aluminum_sphere, rx1, markers)
+        s2 = uniform_signal(aluminum_sphere, rx2, markers)
         assert s2.amplitude_v_sqrt_s == pytest.approx(
             2 * s1.amplitude_v_sqrt_s, rel=1e-14
         )
@@ -469,7 +473,7 @@ class TestEarlyVoltage:
         from numpy.polynomial.legendre import leggauss
 
         pipeline, markers, scales = voltage_setup
-        sig = early_signal(pipeline, rx_loop, markers, scales, aluminum_sphere)
+        sig = uniform_signal(aluminum_sphere, rx_loop, markers)
         t_test = 1e-4 * markers.tau_c_s
 
         def flux(t_s):
@@ -492,14 +496,8 @@ class TestEarlyVoltage:
 
     def test_gate_quality_flags(self, aluminum_sphere, environment, rx_loop):
         markers = ts.characteristic_times(aluminum_sphere, environment, tau_tr_s=1e-6)
-        scales = ts.scales_for(aluminum_sphere)
-        pipeline = ts.run_early_pipeline(
-            aluminum_sphere, 1.0, ts.UniformField(1.0), 1, scales=scales
-        )
         gates = markers.t_tr_s + np.array([2e-6, 1e-4 * markers.tau_c_s, markers.tau_c_s])
-        series = ts.early_voltage(
-            early_signal(pipeline, rx_loop, markers, scales, aluminum_sphere), gates
-        )
+        series = ts.early_voltage(uniform_signal(aluminum_sphere, rx_loop, markers), gates)
         assert list(series.metadata["quality"]) == ["transient", "ok", "late"]
 
     def test_universality_across_harmonics(
@@ -507,11 +505,8 @@ class TestEarlyVoltage:
     ):
         # every retained (l, m) term contributes the same t^(-1/2) law
         markers = ts.characteristic_times(aluminum_sphere, environment, tau_tr_s=0.0)
-        scales = ts.scales_for(aluminum_sphere)
-        pipeline = ts.run_early_pipeline(
-            aluminum_sphere, 1.0, tx_loop, max_l=3, scales=scales
-        )
-        sig = early_signal(pipeline, rx_loop, markers, scales, aluminum_sphere)
+        coupling = ts.coupling_table(aluminum_sphere, tx_loop, rx_loop, 3, 1.0)
+        sig = early_signal(coupling, rx_loop, markers, aluminum_sphere)
         assert len([k for k, v in sig.per_harmonic.items() if abs(v) > 0]) >= 3
         gates = np.geomspace(1e-5, 1e-3, 9) * markers.tau_c_s
         series = ts.early_voltage(sig, gates)

@@ -251,7 +251,6 @@ class TestComputeExcitationOracle:
         coeffs = ts.compute_excitation(lib, PULSES[pulse], tx, rx)
         i_n, a_n, v_n = per_mode_excitation(lib, PULSES[pulse], tx, rx)
         np.testing.assert_allclose(coeffs.pulse_integrals, i_n, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(coeffs.amplitudes, a_n, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(coeffs.voltages, v_n, rtol=1e-12, atol=0.0)
         assert np.count_nonzero(v_n) > 0
 
@@ -267,7 +266,7 @@ class TestSynthesis:
         )
         coeffs = ts.ExcitationCoefficients(
             pulse_integrals=np.array([1.0]),
-            amplitudes=np.array([1.0 + 0j]),
+            coupling={},
             voltages=np.array([2.0]),
         )
         series = ts.synthesize_voltage(lib, coeffs, np.array([0.1, 1.0, 10.0 / 3.0]))
@@ -279,7 +278,7 @@ class TestSynthesis:
             target=aluminum_sphere, background_mu_r=1.0, modes=(), max_l=1, max_n=0
         )
         coeffs = ts.ExcitationCoefficients(
-            pulse_integrals=np.array([]), amplitudes=np.array([]), voltages=np.array([])
+            pulse_integrals=np.array([]), coupling={}, voltages=np.array([])
         )
         with pytest.raises(ParameterError):
             ts.synthesize_voltage(lib, coeffs, np.array([1.0]))
@@ -367,6 +366,79 @@ class TestTruncationBound:
         omitted = np.abs(v1000 - v500)
         bound = ts.truncation_bound(lib500, c500, gates)
         assert np.all(bound >= omitted)
+
+
+class TestClosestApproach:
+    # the side from (-1, 0.049) to (1.03, 0.049) passes 0.049 m from the
+    # centre between any two of 33 evenly spaced samples
+    SKIMMING = ts.Loop(kind="polygon", vertices=((-1.0, 0.049, 0.0), (1.03, 0.049, 0.0),
+                                                 (0.0, 1.0, 0.0)))
+
+    def test_side_distance_is_exact(self):
+        assert self.SKIMMING.min_distance_m() == pytest.approx(0.049, rel=1e-15)
+
+    def test_nearest_point_at_a_vertex(self):
+        loop = ts.Loop(kind="polygon", vertices=((0.3, 0.2, 0.1), (0.3, 0.5, 0.1), (0.6, 0.2, 0.1)))
+        assert loop.min_distance_m() == pytest.approx(np.sqrt(0.14), rel=1e-15)
+
+    def test_repeated_vertex_adds_a_point_side(self):
+        verts = ((0.3, 0.0, 0.2), (0.0, 0.3, 0.2), (-0.3, -0.3, 0.2))
+        loop = ts.Loop(kind="polygon", vertices=verts[:1] + verts)
+        assert loop.min_distance_m() == ts.Loop(kind="polygon", vertices=verts).min_distance_m()
+
+    def test_skimming_loop_rejected(self, rx_loop):
+        target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8))
+        with pytest.raises(ParameterError, match="intersects"):
+            ts.coupling_table(target, self.SKIMMING, rx_loop, 1, 1.0)
+        with pytest.raises(ParameterError, match="intersects"):
+            ts.illumination_coefficients(self.SKIMMING, target, 1)
+
+
+class TestCouplingTable:
+    A = 0.05
+
+    def test_products_of_line_integrals(self):
+        table = ts.coupling_table(ts.TargetSpec(self.A, ts.MaterialSpec(1e7)), SQUARE, TRIANGLE,
+                                  3, 2.5)
+        assert sorted(table) == [(l, m) for l in range(1, 4) for m in range(-l, l + 1)]
+        for (l, m), value in table.items():
+            lt = exterior_multipole_line_integral(l, m, SQUARE, self.A)
+            lr = exterior_multipole_line_integral(l, m, TRIANGLE, self.A)
+            assert value == pytest.approx(2.5 * np.conj(lt) * lr, rel=1e-15)
+
+    @pytest.mark.parametrize("tx, rx", [(SQUARE, COAXIAL_RX), (COAXIAL_TX, TRIANGLE)])
+    def test_circular_loop_couples_m0_only(self, tx, rx, monkeypatch):
+        calls = []
+        original = ex.exterior_multipole_line_integral
+
+        def counted(l, m, loop, radius_m):
+            calls.append((l, m, loop.kind))
+            return original(l, m, loop, radius_m)
+
+        monkeypatch.setattr(ex, "exterior_multipole_line_integral", counted)
+        table = ts.coupling_table(ts.TargetSpec(self.A, ts.MaterialSpec(1e7)), tx, rx, 4, 1.0)
+        assert sorted(table) == [(l, 0) for l in range(1, 5)]
+        assert sorted(calls) == sorted([(l, 0, tx.kind) for l in range(1, 5)]
+                                       + [(l, 0, rx.kind) for l in range(1, 5)])
+
+    def test_uniform_field_is_the_reciprocal_dipole(self):
+        # a uniform field's illumination d_10 equals that of a loop whose
+        # I conj(L_10) is the table's analytic dipole
+        target = ts.TargetSpec(self.A, ts.MaterialSpec(1e7))
+        h0 = 1.5
+        table = ts.coupling_table(target, ts.UniformField(h0), COAXIAL_RX, 3, 7.0)
+        assert list(table) == [(1, 0)]
+        lr = exterior_multipole_line_integral(1, 0, COAXIAL_RX, self.A)
+        drive = table[(1, 0)] / lr  # I conj(L_tx,10)
+        d_loop = -1j * np.sqrt(2.0) * drive / (3.0 * self.A)
+        pot_scale = ts.scales_for(target).factor("potential")
+        d_uniform = ts.illumination_coefficients(ts.UniformField(h0), target, 3).growing[(1, 0)]
+        assert d_loop / pot_scale == pytest.approx(d_uniform, rel=1e-15)
+
+    def test_unknown_transmitter_rejected(self):
+        with pytest.raises(ParameterError, match="transmitter"):
+            ts.coupling_table(ts.TargetSpec(self.A, ts.MaterialSpec(1e7)), "coil", COAXIAL_RX,
+                              1, 1.0)
 
 
 class TestLoopVertices:

@@ -25,7 +25,11 @@ import numpy as np
 import pytest
 
 from temsphere import _io, cli, modes, pipeline
-from temsphere.core import MU_0
+from temsphere.core import MU_0, scales_for
+from temsphere.earlytime import early_signal, run_early_pipeline
+from temsphere.excitation import coupling_table
+
+from oracles import staged_early_signal
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 RTOL = 1e-12
@@ -201,6 +205,40 @@ def test_golden_early_payloads(name, tmp_path):
         assert values.shape == ref_values.shape
         assert np.all(np.isfinite(values))
         np.testing.assert_allclose(values, ref_values, rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_early_voltage_terms_sum_to_amplitude(name, tmp_path):
+    report_path, _, _ = run_early_case(name, str(tmp_path))
+    with open(report_path, "r", encoding="utf-8") as fh:
+        report = json.load(fh)
+    terms = [h["voltage_term_v_sqrt_s"][0] for h in report["harmonics"].values()]
+    amplitude = report["amplitude_v_sqrt_s"]
+    assert abs(sum(terms) - amplitude) <= 1e-12 * abs(amplitude)
+
+
+@pytest.mark.parametrize("mu_b", [1.0, 3.0, 40.0])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_coupling_table_matches_staged_pipeline(name, mu_b):
+    # composed, the pipeline stages cancel l and mu_b: each harmonic's term
+    # is the coupling table's, whatever the background permeability
+    raw = json.loads(json.dumps(CASES[name][0]))
+    raw["background"]["mu_r"] = mu_b
+    config = _io.parse_config(raw)
+    target, tx, rx = config.target, config.transmitter, config.receiver
+    current = config.pulse.effective_current_a
+    markers = pipeline.markers_for(config)
+    staged = staged_early_signal(
+        run_early_pipeline(target, mu_b, tx, config.max_l, source_current_a=current),
+        rx, markers, scales_for(target), target)
+    table = early_signal(coupling_table(target, tx, rx, config.max_l, current), rx, markers,
+                         target)
+    keys = set(staged.per_harmonic) | set(table.per_harmonic)
+    top = max(abs(v) for v in staged.per_harmonic.values())
+    for lm in keys:
+        diff = abs(table.per_harmonic.get(lm, 0.0) - staged.per_harmonic.get(lm, 0.0))
+        assert diff <= 1e-13 * top, lm
+    assert table.amplitude_v_sqrt_s == pytest.approx(staged.amplitude_v_sqrt_s, rel=1e-13)
 
 
 def write_golden():

@@ -1,16 +1,22 @@
-"""Sector wavenumbers and Bessel zeros against 40-digit mpmath roots.
+"""Sector wavenumbers, Bessel zeros and mode voltages against 40-digit mpmath.
 
 Every float root must lie within 1 ulp of the true root.  Sector roots are
 checked against `mpmath.findroot` on the eigencondition
 x j_(l-1)(x) = l (1 - mu_ratio) j_l(x), with j_l(x) = sqrt(pi/2x) J_(l+1/2)(x);
 ladder zeros against `mpmath.besseljzero(k + 1/2, n)`.  The grid is seeded:
 l 1-8, seven mu ratios from nonmagnetic to 300, and n drawn from 1..3000.
+
+The voltage coefficients V_n of `compute_excitation` are checked against
+the per-mode formulas of `oracles.excitation_amplitude` and
+`oracles.voltage_coefficient`, evaluated at 40 digits on the true roots.
 """
 
 import mpmath
 import numpy as np
 import pytest
 
+import temsphere as ts
+from temsphere.core import MU_0
 from temsphere.modes import _sector_wavenumbers
 from temsphere.special import _bessel_zero_ladder
 
@@ -73,3 +79,42 @@ def test_ladder_zeros_within_one_ulp():
             true_zero = mpmath.besseljzero(k + mpmath.mpf(1) / 2, int(n))
             worst.append((_ulps(x, true_zero), k, int(n), x))
     assert max(worst)[0] <= 1.0, max(worst)
+
+
+def _circular_l10(loop, a):
+    """oint (a/r)^2 X_10 . dl of a coaxial circle: X_10 = i sqrt(3/8pi) sin(theta) phi-hat."""
+    rho, h = mpmath.mpf(loop.radius_m), mpmath.mpf(loop.height_m)
+    r = mpmath.sqrt(rho * rho + h * h)
+    x_phi = 1j * mpmath.sqrt(3 / (8 * mpmath.pi)) * rho / r
+    return 2 * mpmath.pi * rho * (a / r) ** 2 * x_phi
+
+
+@pytest.mark.parametrize("tx", ["coaxial", "uniform"])
+@mpmath.workdps(40)
+def test_mode_voltages_of_3000_magnetic_modes(tx):
+    # step-off, so lambda_n I_n / I_0 = 1; l = 1 and mu_r 60, where the
+    # per-mode uniform-field projection j_2(x)/x cancels at large x
+    target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8, 60.0))
+    pulse = ts.PulseWaveform(base_current_a=2.0, windings=2)
+    rx = ts.Loop(kind="circular", radius_m=0.25, height_m=0.35, windings=2)
+    source = ts.UniformField(1.5) if tx == "uniform" else ts.Loop(radius_m=0.4, height_m=0.3)
+    library = ts.build_mode_library(target, 1.0, 1, 3000)
+    volts = ts.compute_excitation(library, pulse, source, rx).voltages
+    a, mu_c = mpmath.mpf(target.radius_m), mpmath.mpf(60)
+    sigma, mu_0 = mpmath.mpf(target.material.conductivity_s_per_m), mpmath.mpf(MU_0)
+    l_rx = _circular_l10(rx, a)
+    for n in (1, 1000, 3000):
+        x = _eigen_root(1, 60.0, float(library.columns.x[n - 1]))
+        j1 = _sj(1, x)
+        radial = (j1 * j1 - _sj(0, x) * _sj(2, x)) / 2  # int_0^1 j_1(x u)^2 u^2 du
+        norm = 1 / mpmath.sqrt(mu_0 * sigma * a**3 * radial)
+        rate = x * x / (mu_0 * mu_c * sigma * a * a)
+        if tx == "uniform":
+            b_in = mu_0 * mu_c * 3 * mpmath.mpf(1.5) / (mu_c + 2)
+            amp = -1j * mu_0 * sigma * norm * b_in / 2 * mpmath.sqrt(8 * mpmath.pi / 3) * a**4
+            amp *= _sj(2, x) / x
+        else:
+            amp = mu_0 * pulse.effective_current_a / rate * mpmath.conj(
+                norm * j1 * _circular_l10(source, a))
+        exact = mpmath.re(rate * rx.windings * amp * norm * j1 * l_rx)
+        assert abs(volts[n - 1] - exact) <= 1e-13 * abs(exact), (n, volts[n - 1], exact)
