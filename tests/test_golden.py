@@ -13,6 +13,12 @@ transmitters, step, linear and table pulses, max_l 1-4 and mu_r 1 and 60,
 so a faster spectral core, excitation path or early-time layer has to
 reproduce the physics it replaces.
 
+The same configs pin the coupling table that the mode sum and the early
+law share: its terms against the staged early-time pipeline at three
+background permeabilities, the early.json voltage terms summing to the
+amplitude, and a forward op that evaluates each line integral once per
+(loop, l, m), with no Bessel function and no staged pipeline.
+
 Regenerate the recorded files only for an intended change of results:
 ``PYTHONPATH=src python tests/test_golden.py --write``.
 """
@@ -24,7 +30,7 @@ import sys
 import numpy as np
 import pytest
 
-from temsphere import _io, cli, modes, pipeline
+from temsphere import _io, cli, excitation, modes, pipeline, special
 from temsphere.core import MU_0, scales_for
 from temsphere.earlytime import early_signal, run_early_pipeline
 from temsphere.excitation import coupling_table
@@ -161,6 +167,32 @@ def test_forward_model_and_payloads_build_no_mode(name, tmp_path, monkeypatch):
         _io.parse_config(config), np.geomspace(float(lo), float(hi), int(count)))
     assert len(result.library) == config["options"]["max_l"] * config["options"]["max_n"]
     run_case(name, str(tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_forward_model_reads_one_coupling_table(name, monkeypatch):
+    # on a built library, a forward op evaluates no Bessel function, runs no
+    # staged early-time pipeline and each line integral once per (loop, l, m)
+    config, gates = CASES[name]
+    config = _io.parse_config(config)
+    library = pipeline.build_library(config)
+    calls = []
+    line_integral = excitation.exterior_multipole_line_integral
+
+    def counted(l, m, loop, radius_m):
+        calls.append((l, m, loop))
+        return line_integral(l, m, loop, radius_m)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(excitation, "exterior_multipole_line_integral", counted)
+    for module in (special, modes, excitation):
+        monkeypatch.setattr(module, "spherical_bessel_j", forbidden, raising=False)
+    monkeypatch.setattr(pipeline, "run_early_pipeline", forbidden)
+    lo, hi, count = gates.split(",")
+    pipeline.forward_model(config, np.geomspace(float(lo), float(hi), int(count)), library)
+    assert calls and len(calls) == len(set(calls))
 
 
 def _assert_early_report(got, ref):
