@@ -16,8 +16,9 @@ the receiver voltage, proportional to (t - t_tr)^(-1/2) for every harmonic.
 
 Every stage is diagonal in (l, m), and composed they cancel both l and
 mu_b: the voltage term of a harmonic is a material factor times the coil
-coupling I conj(L_tx,lm) L_rx,lm that the mode sum carries too, so the
-t^(-1/2) amplitude reflects the coil geometry alone.  `early_signal` reads
+coupling I conj(L_tx,lm) L_rx,lm that the mode sum carries too, so apart
+from the target's sigma a^3 and tau_c the t^(-1/2) amplitude reflects the
+coil geometry alone.  `early_signal` reads
 that coupling table; the stages remain for the per-stage report and the
 exterior field scan.
 
