@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ParameterError, TimeMarkers
 from .earlytime import EarlySignal
-from .excitation import ExcitationCoefficients, TimeSeries, synthesize_voltage
+from .excitation import ExcitationCoefficients, TimeSeries, _mode_sum
 from .modes import ModeLibrary
 
 
@@ -79,8 +79,8 @@ def regime_boundaries(
     capped at the end of that window; the blend decade is centred on it.  The
     early law is used only if the splice ``compose_response`` applies,
     run on 50 log-spaced probe gates across the blend decade, distorts the
-    curve by at most ``tol``.  The decision never depends on the caller's
-    gates.
+    curve by at most ``tol``; the probe's mode sum computes no truncation
+    bound.  The decision never depends on the caller's gates.
     """
     if len(library) < 1:
         raise ParameterError("need at least one mode")
@@ -104,7 +104,7 @@ def regime_boundaries(
     mismatch = float("nan")
     if late > t0 and blend_lo > floor * 0.999 and blend_hi < late - t0:
         probe = np.geomspace(blend_lo, blend_hi, 50)
-        mode = synthesize_voltage(library, coeffs, probe).values
+        mode = TimeSeries(probe, _mode_sum(library, coeffs, probe)).values  # checks finiteness
         _, _, mismatch = _splice(
             t0 + probe, signal.evaluate(t0 + probe), mode, t0 + blend_lo, t0 + blend_hi
         )

@@ -355,14 +355,16 @@ def synthesize_voltage(
     t = np.asarray(gates_s, dtype=float)
     if np.any(t <= 0):
         raise ParameterError("gates must lie after pulse termination (t > t0)")
-    rates = library.rates
-    vals = np.exp(-np.outer(t, rates)) @ coeffs.voltages
-    bound = truncation_bound(library, coeffs, t)
     return TimeSeries(
         times_s=t,
-        values=vals,
-        metadata={"truncation_bound": bound, "kind": "mode_sum"},
+        values=_mode_sum(library, coeffs, t),
+        metadata={"truncation_bound": truncation_bound(library, coeffs, t), "kind": "mode_sum"},
     )
+
+
+def _mode_sum(library: ModeLibrary, coeffs: ExcitationCoefficients, t: np.ndarray) -> np.ndarray:
+    """sum V_n exp(-lambda_n t) at elapsed times ``t``; no checks, no bound."""
+    return np.exp(-np.outer(t, library.rates)) @ coeffs.voltages
 
 
 def truncation_bound(library: ModeLibrary, coeffs: ExcitationCoefficients, t) -> np.ndarray:

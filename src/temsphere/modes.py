@@ -31,7 +31,7 @@ import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -246,18 +246,17 @@ def _residual_ok(l: int, x: np.ndarray, mu_ratio: float) -> np.ndarray:
     return np.abs(f) <= np.maximum(1e-12 * scale, floor)
 
 
-def _sector_wavenumbers(l: int, mu_ratio: float, count: int, ladder=None) -> np.ndarray:
+def _sector_wavenumbers(l: int, mu_ratio: float, count: int) -> np.ndarray:
     """First ``count`` eigen-wavenumbers of sector l.
 
-    Brackets come from the merged zeros of j_(l-1) and j_l, sliced from
-    ``ladder`` (`_bessel_zero_ladder` of order >= l; built when omitted): on
-    each open subinterval both Bessel terms keep a fixed sign, so a sign
-    change of the residual at the endpoints brackets exactly one root and
-    none are missed.  Nonmagnetic sectors need zeros of j_(l-1) only.
+    Brackets come from the merged zeros of j_(l-1) and j_l
+    (`_bessel_zero_ladder`, held for the life of the process): on each open
+    subinterval both Bessel terms keep a fixed sign, so a sign change of the
+    residual at the endpoints brackets exactly one root and none are missed.
+    Nonmagnetic sectors need zeros of j_(l-1) only.
     """
-    if ladder is None:
-        ladder = _bessel_zero_ladder(l - (mu_ratio == 1.0), count + 2)
     extra = count + 2
+    ladder = _bessel_zero_ladder(l - (mu_ratio == 1.0), extra)
     za = ladder[l - 1]
     if mu_ratio == 1.0:
         # the condition reduces to x j_(l-1)(x) = 0
@@ -299,12 +298,10 @@ _spectra_size = 0  # wavenumbers held in _spectra
 _spectra_lock = threading.Lock()
 
 
-def sector_spectrum(l: int, mu_ratio: float, count: int, *, _ladder=None) -> tuple:
+def sector_spectrum(l: int, mu_ratio: float, count: int) -> tuple:
     """First ``count`` wavenumbers x_n of sector l and their Lommel integrals J(x_n).
 
     Both arrays are read-only views into the process-wide spectrum cache.
-    ``_ladder`` is a zero-argument callable returning a shared Bessel-zero
-    ladder, called only on a cache miss.
     """
     key = (l, mu_ratio)
     with _spectra_lock:
@@ -314,7 +311,7 @@ def sector_spectrum(l: int, mu_ratio: float, count: int, *, _ladder=None) -> tup
         else:
             entry = None
     if entry is None:
-        xs = _sector_wavenumbers(l, mu_ratio, count, _ladder() if _ladder else None)
+        xs = _sector_wavenumbers(l, mu_ratio, count)
         entry = (xs, _lommel(l, xs))
         for arr in entry:
             arr.flags.writeable = False
@@ -349,25 +346,16 @@ def normalization_constant(target: TargetSpec, l: int, x, radial=None) -> np.nda
     return 1.0 / np.sqrt(MU_0 * sigma * target.radius_m**3 * radial)
 
 
-def find_decay_rates(
-    target: TargetSpec,
-    background_mu_r: float,
-    l: int,
-    count: int,
-    *,
-    _ladder=None,
-) -> ModeLibrary:
+def find_decay_rates(target: TargetSpec, background_mu_r: float, l: int, count: int) -> ModeLibrary:
     """First ``count`` normalized modes of sector l, ascending decay rate.
 
     Returned as a one-sector `ModeLibrary` (max_l = l, max_n = count), a
-    sequence of `Mode`.  ``_ladder`` shares one lazily built Bessel-zero
-    ladder among `build_mode_library`'s sectors; it saves work and never
-    changes the result.
+    sequence of `Mode`.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
     mu_ratio = target.material.relative_permeability / background_mu_r
-    xs, radial = sector_spectrum(l, mu_ratio, count, _ladder=_ladder)
+    xs, radial = sector_spectrum(l, mu_ratio, count)
     d_c = diffusivity(target.material)
     a = target.radius_m
     columns = ModeColumns(
@@ -434,10 +422,8 @@ def build_mode_library(
     The m degeneracy of the sphere is exact; modes are stored once with
     m = 0 and reconstructed per m by the excitation machinery as needed.
     """
-    mu_ratio = target.material.relative_permeability / background_mu_r
-    ladder = cache(lambda: _bessel_zero_ladder(max_l - (mu_ratio == 1.0), count_per_l + 2))
     sectors = [
-        find_decay_rates(target, background_mu_r, l, count_per_l, _ladder=ladder).columns
+        find_decay_rates(target, background_mu_r, l, count_per_l).columns
         for l in range(1, max_l + 1)
     ]
     cols = ModeColumns(*map(np.concatenate, zip(*sectors)))

@@ -22,6 +22,7 @@ stable (it loses all accuracy for x < l).
 from __future__ import annotations
 
 import math
+import threading
 from functools import lru_cache, partial
 
 import numpy as np
@@ -173,22 +174,50 @@ def _refine_roots(fdf, lo, hi, flo=None, max_iter=100):
     return roots
 
 
+# Zeros of j_k held for the life of the process: entry k is the longest
+# read-only array of them computed so far.  Nothing is computed at import.
+_zeros: list = []
+_zeros_lock = threading.Lock()
+
+
+def _bessel_zero_fdf(k: int, x):
+    """(j_k(x), j_k'(x)), the derivative from j_(k-1)."""
+    jk = spherical_bessel_j(k, x)
+    return jk, spherical_bessel_j(k - 1, x) - (k + 1) / x * jk
+
+
 def _bessel_zero_ladder(max_order: int, count: int) -> list:
     """Positive zeros of j_0 .. j_max_order, each order refined from the last.
 
-    Entry k holds the first ``count + max_order - k`` zeros of j_k.  Zeros
-    of j_0 are exactly n*pi; successive orders interlace, which guarantees
-    every bracket contains exactly one zero.
+    Entry k holds the first ``count + max_order - k`` zeros of j_k, a
+    read-only view of the zeros held for the life of the process; only the
+    zeros not held yet are computed.  Zeros of j_0 are exactly n*pi;
+    successive orders interlace, which guarantees every bracket contains
+    exactly one zero.  Each zero depends on its bracket alone, so held
+    zeros equal a fresh computation bit for bit.
     """
-
-    def fdf(k, x):
-        jk = spherical_bessel_j(k, x)
-        return jk, spherical_bessel_j(k - 1, x) - (k + 1) / x * jk
-
-    ladder = [np.arange(1, count + max_order + 1) * np.pi]
-    for k in range(1, max_order + 1):
-        ladder.append(_refine_roots(partial(fdf, k), ladder[-1][:-1], ladder[-1][1:]))
-    return ladder
+    with _zeros_lock:
+        held = list(_zeros)
+    ladder = []
+    for k in range(max_order + 1):
+        need = count + max_order - k
+        zeros = held[k] if k < len(held) else np.empty(0)
+        if zeros.size < need:
+            if k == 0:
+                new = np.arange(zeros.size + 1, need + 1) * np.pi
+            else:  # brackets: consecutive zeros of j_(k-1) from the first missing one
+                ends = ladder[k - 1][zeros.size : need + 1]
+                new = _refine_roots(partial(_bessel_zero_fdf, k), ends[:-1], ends[1:])
+            zeros = np.concatenate([zeros, new])
+            zeros.flags.writeable = False
+        ladder.append(zeros)
+    with _zeros_lock:  # a shorter array never replaces a longer one
+        for k, zeros in enumerate(ladder):
+            if k == len(_zeros):
+                _zeros.append(zeros)
+            elif _zeros[k].size < zeros.size:
+                _zeros[k] = zeros
+    return [zeros[: count + max_order - k] for k, zeros in enumerate(ladder)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pickle
 import sys
 import threading
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -276,6 +277,60 @@ def empty_spectra(monkeypatch):
     return modes_mod._spectra
 
 
+@pytest.fixture
+def empty_ladder(monkeypatch):
+    """No held Bessel zeros for one test; the shared ladder is restored after."""
+    monkeypatch.setattr(special, "_zeros", [])
+    return special._zeros
+
+
+def cold_ladder(max_order, count):
+    """The zeros of `special._bessel_zero_ladder`, every order refined from scratch."""
+    ladder = [np.arange(1, count + max_order + 1) * np.pi]
+    for k in range(1, max_order + 1):
+        fdf = partial(special._bessel_zero_fdf, k)
+        ladder.append(special._refine_roots(fdf, ladder[-1][:-1], ladder[-1][1:]))
+    return ladder
+
+
+class TestHeldBesselZeros:
+    def test_requests_equal_cold_ladders_and_never_shrink(self, empty_ladder):
+        rng = np.random.default_rng(17)
+        longest = {}
+        for _ in range(30):
+            order, count = int(rng.integers(0, 9)), int(rng.integers(1, 300))
+            ladder = special._bessel_zero_ladder(order, count)
+            cold = cold_ladder(order, count)
+            assert len(ladder) == order + 1
+            for k, (zeros, ref) in enumerate(zip(ladder, cold)):
+                assert zeros.tobytes() == ref.tobytes(), (order, count, k)
+                longest[k] = max(longest.get(k, 0), count + order - k)
+            assert [z.size for z in empty_ladder] == [longest[k] for k in range(len(longest))]
+            for zeros in ladder + empty_ladder:
+                assert not zeros.flags.writeable
+                with pytest.raises(ValueError):
+                    zeros[0] = 1.0
+
+    def test_second_magnetic_library_refines_no_bessel_zero(
+        self, empty_ladder, empty_spectra, monkeypatch, steel
+    ):
+        refined, refine = [], special._refine_roots
+
+        def counting(fdf, lo, hi, *args, **kwargs):
+            refined.append(np.size(lo))
+            return refine(fdf, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(special, "_refine_roots", counting)
+        target = ts.TargetSpec(radius_m=0.05, material=steel)
+        ts.build_mode_library(target, 1.0, max_l=4, count_per_l=120)
+        assert sum(refined) > 0
+        refined.clear()
+        other = ts.TargetSpec(0.03, dataclasses.replace(steel, relative_permeability=37.0))
+        for max_l, max_n in ((4, 120), (2, 60)):
+            assert len(ts.build_mode_library(other, 1.0, max_l, max_n)) == max_l * max_n
+        assert refined == []
+
+
 class TestSpectrumCache:
     def test_prefix_equals_fresh_computation(self, empty_spectra):
         rng = np.random.default_rng(8)
@@ -293,19 +348,25 @@ class TestSpectrumCache:
         "path", sorted(glob.glob(os.path.join(GOLDEN_DIR, "*", "modes.json"))),
         ids=lambda p: os.path.basename(os.path.dirname(p)),
     )
-    def test_warm_and_cold_libraries_match_golden(self, empty_spectra, monkeypatch, path):
+    def test_warm_and_cold_libraries_match_golden(
+        self, empty_spectra, empty_ladder, monkeypatch, path
+    ):
         recorded = ts.ModeLibrary.load(path)
         args = (recorded.target, recorded.background_mu_r, recorded.max_l, recorded.max_n)
         mu_ratio = recorded.target.material.relative_permeability / recorded.background_mu_r
         with open(path, encoding="utf-8") as fh:
             golden = fh.read()
+        cap = modes_mod._SPECTRUM_CAP
+        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 0)  # nothing is stored: every sector is cold
+        cold = ts.build_mode_library(*args)  # from an empty Bessel-zero ladder
+        special._bessel_zero_ladder(recorded.max_l + 3, 2 * recorded.max_n + 37)
+        grown = ts.build_mode_library(*args)  # from a ladder held past the golden sizes
+        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", cap)
         for l in range(1, recorded.max_l + 1):
             sector_spectrum(l, mu_ratio, 2 * recorded.max_n + 37)
         warm = ts.build_mode_library(*args)
-        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 0)  # nothing is stored: every sector is cold
-        cold = ts.build_mode_library(*args)
-        assert json.dumps(warm.to_dict(), indent=1) + "\n" == golden
-        assert json.dumps(cold.to_dict(), indent=1) + "\n" == golden
+        for lib in (cold, grown, warm):
+            assert json.dumps(lib.to_dict(), indent=1) + "\n" == golden
 
     def test_classify_rankings_identical_warm_and_cold(self, empty_spectra, monkeypatch,
                                                        sample_config_dict):
@@ -365,7 +426,7 @@ class TestSpectrumCache:
     def test_threads_keep_size_and_prefixes_consistent(self, empty_spectra, monkeypatch):
         # cheap stand-in spectra under a small cap: nearly every call stores
         # and evicts, so an unlocked update of the cache would show
-        def fake(l, mu_ratio, count, ladder=None):
+        def fake(l, mu_ratio, count):
             return np.arange(1.0, count + 1) + 100 * l + mu_ratio
 
         monkeypatch.setattr(modes_mod, "_sector_wavenumbers", fake)
