@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ParameterError, ScaleSystem, TargetSpec, TimeMarkers, scales_for
-from .excitation import Loop, TimeSeries, UniformField, exterior_multipole_line_integral
+from .excitation import Loop, TimeSeries, UniformField, transmitter_line_integrals
 from .special import (
     erfc,
     spherical_harmonic,
@@ -133,15 +133,17 @@ def illumination_coefficients(
     max_l: int,
     scales: ScaleSystem | None = None,
     source_current_a: float = 1.0,
+    line_integrals: dict | None = None,
 ) -> PotentialExpansion:
     """Expansion of the transmitter's static potential about the target center.
 
     A UniformField is a pure dipole.  By reciprocity a Loop's coefficients
     are d_lm = -i I sqrt(l(l+1)) conj(L_lm) / (l (2l+1) a), with L_lm its
     `exterior_multipole_line_integral`; a circular loop keeps (l, 0), a
-    polygon every (l, m), for 1 <= l <= max_l.  Coefficients are internal
-    (per H_0 a); ``scales`` defaults to the target's own scale system with
-    H_0 = 1 A/m.
+    polygon every (l, m), for 1 <= l <= max_l.  ``line_integrals`` is that
+    `transmitter_line_integrals` table when already evaluated.  Coefficients
+    are internal (per H_0 a); ``scales`` defaults to the target's own scale
+    system with H_0 = 1 A/m.
     """
     if scales is None:
         scales = scales_for(target)
@@ -153,17 +155,16 @@ def illumination_coefficients(
         return exp
     if not isinstance(source, Loop):
         raise ParameterError("source must be a UniformField or a Loop")
-    if source.min_distance_m() <= target.radius_m:
-        raise ParameterError("transmitter loop intersects the target sphere")
+    if line_integrals is None:
+        line_integrals = transmitter_line_integrals(target, source, max_l)
     a = target.radius_m
     exp.growing = {
         (l, m): complex(
             -1j * source_current_a * np.sqrt(l * (l + 1.0))
-            * np.conj(exterior_multipole_line_integral(l, m, source, a))
+            * np.conj(integral)
             / (l * (2 * l + 1) * a * pot_scale)
         )
-        for l in range(1, max_l + 1)
-        for m in ((0,) if source.kind == "circular" else range(-l, l + 1))
+        for (l, m), integral in line_integrals.items()
     }
     return exp
 
@@ -421,12 +422,17 @@ def run_early_pipeline(
     max_l: int,
     scales: ScaleSystem | None = None,
     source_current_a: float = 1.0,
+    line_integrals: dict | None = None,
 ) -> EarlyPipeline:
-    """Run illumination -> static response -> quench -> sheet -> correction."""
+    """Run illumination -> static response -> quench -> sheet -> correction.
+
+    ``line_integrals`` goes to `illumination_coefficients`.
+    """
     mu_c = target.material.relative_permeability
     mu_b = background_mu_r
     ill = illumination_coefficients(
-        source, target, max_l, scales=scales, source_current_a=source_current_a
+        source, target, max_l, scales=scales, source_current_a=source_current_a,
+        line_integrals=line_integrals,
     )
     static = static_sphere_response(ill, mu_c, mu_b)
     phi0 = solve_exterior_neumann(interior_normal_h(static), mu_c, mu_b)

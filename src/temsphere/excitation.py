@@ -287,25 +287,44 @@ def exterior_multipole_line_integral(l: int, m: int, loop: Loop, radius_m: float
     return complex(np.sum((a / g.r) ** (l + 1) * field_dot_dl))
 
 
-def coupling_table(target: TargetSpec, tx, rx: Loop, max_l: int, current_a: float) -> dict:
+def transmitter_line_integrals(target: TargetSpec, tx: Loop, max_l: int) -> dict:
+    """`exterior_multipole_line_integral` L_lm of the transmitter per (l, m),
+    1 <= l <= max_l: m = 0 for a circular loop, every m for a polygon.
+
+    These serve both the early-time illumination and `coupling_table`.
+    """
+    if tx.min_distance_m() <= target.radius_m:
+        raise ParameterError("transmitter loop intersects the target sphere")
+    return {
+        (l, m): exterior_multipole_line_integral(l, m, tx, target.radius_m)
+        for l in range(1, max_l + 1)
+        for m in ((0,) if tx.kind == "circular" else range(-l, l + 1))
+    }
+
+
+def coupling_table(
+    target: TargetSpec, tx, rx: Loop, max_l: int, current_a: float, tx_line_integrals=None
+) -> dict:
     """Coil coupling G_lm = I conj(L_tx,lm) L_rx,lm per (l, m), 1 <= l <= max_l (A m^2).
 
     L is `exterior_multipole_line_integral`, evaluated once per (loop, l, m);
     when either loop is circular only m = 0 couples and only m = 0 is
-    computed.  A `UniformField` transmitter enters as its analytic dipole
-    I conj(L_tx,10) = -3i H0 a^2 sqrt(2 pi/3) at (1, 0) alone, which
-    ``current_a`` does not scale.  Loops touching the target are rejected.
+    computed.  ``tx_line_integrals``, when given, holds the transmitter's L
+    already evaluated (`transmitter_line_integrals`).  A `UniformField`
+    transmitter enters as its analytic dipole I conj(L_tx,10) =
+    -3i H0 a^2 sqrt(2 pi/3) at (1, 0) alone, which ``current_a`` does not
+    scale.  Loops touching the target are rejected.
     """
     a = target.radius_m
     if isinstance(tx, UniformField):
         drive = {(1, 0): -3j * tx.amplitude_a_per_m * a * a * math.sqrt(2.0 * math.pi / 3.0)}
     elif isinstance(tx, Loop):
         coaxial = "circular" in (tx.kind, rx.kind)
-        drive = {
-            (l, m): current_a * np.conj(exterior_multipole_line_integral(l, m, tx, a))
-            for l in range(1, max_l + 1)
-            for m in ((0,) if coaxial else range(-l, l + 1))
-        }
+        keys = [(l, m) for l in range(1, max_l + 1) for m in ((0,) if coaxial else range(-l, l + 1))]
+        lines = tx_line_integrals
+        if lines is None:
+            lines = {lm: exterior_multipole_line_integral(*lm, tx, a) for lm in keys}
+        drive = {lm: current_a * np.conj(lines[lm]) for lm in keys}
     else:
         raise ParameterError("transmitter must be a UniformField or a Loop")
     return {
@@ -362,9 +381,21 @@ def synthesize_voltage(
     )
 
 
+# exp(x) underflows to exactly 0.0 for every double x below about -745.13
+_EXP_UNDERFLOW = -745.2
+
+
 def _mode_sum(library: ModeLibrary, coeffs: ExcitationCoefficients, t: np.ndarray) -> np.ndarray:
-    """sum V_n exp(-lambda_n t) at elapsed times ``t``; no checks, no bound."""
-    return np.exp(-np.outer(t, library.rates)) @ coeffs.voltages
+    """sum V_n exp(-lambda_n t) at elapsed times ``t``; no checks, no bound.
+
+    exp runs in place, only on exponents at or above `_EXP_UNDERFLOW`; the
+    skipped ones stay negative, and clipping at 0 turns them into the exact
+    0.0 exp would return (exp is never negative), so the sum is bit for bit
+    that of every term.
+    """
+    terms = np.multiply.outer(-t, library.rates)
+    np.exp(terms, out=terms, where=terms >= _EXP_UNDERFLOW)
+    return np.maximum(terms, 0.0, out=terms) @ coeffs.voltages
 
 
 def truncation_bound(library: ModeLibrary, coeffs: ExcitationCoefficients, t) -> np.ndarray:

@@ -23,6 +23,19 @@ Modes are normalized against the weight mu_0 sigma, i.e.
 
 so that excitation amplitudes carry a bare mu_0 and the receiver-voltage
 formula needs no further constants.
+
+A library is built in one pass over the sectors that the spectrum cache
+lacks (`_wavenumbers`): one Bessel-zero ladder request for the highest
+sector, one bracket scan, one bracketed-Newton loop in which every root
+carries its own l, then the residual gate and the Lommel norms.  Every
+Bessel value comes from `special._bessel_neighbours`, which takes j_(l-1),
+j_l and j_(l+1) from one sin/cos and one upward recurrence.  Those values
+equal `spherical_bessel_j` bit for bit wherever it uses a closed form
+(order <= 2) or the upward recurrence (x >= order); below that its power
+series and downward recurrence depend on the array they run on, so the
+kernel hands it the same per-sector arrays a one-sector build would.  Each
+sector of a library therefore equals that sector built alone, bit for bit,
+and a one-sector build is the same pass over one sector.
 """
 
 from __future__ import annotations
@@ -30,14 +43,15 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import MU_0, MaterialSpec, NumericalError, ParameterError, TargetSpec, diffusivity
-from .special import _bessel_zero_ladder, _refine_roots, spherical_bessel_j
+from .special import _bessel_neighbours, _bessel_zero_ladder, _refine_roots
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,14 @@ class ModeLibrary:
         lib._set(target, background_mu_r, columns, max_l, max_n)
         return lib
 
+    @classmethod
+    def _of(cls, target, background_mu_r, columns: ModeColumns, max_l, max_n) -> "ModeLibrary":
+        """Library over ``columns`` as given: arrays of the column dtypes,
+        already checked and owned by no one else."""
+        lib = cls.__new__(cls)
+        lib._adopt(target, background_mu_r, columns, max_l, max_n)
+        return lib
+
     def _set(self, target, background_mu_r, columns, max_l, max_n) -> None:
         cols = ModeColumns(*(np.array(c, dtype=t) for c, t in zip(columns, _COLUMN_DTYPES)))
         if any(c.ndim != 1 or c.size != cols.l.size for c in cols):
@@ -123,10 +145,13 @@ class ModeLibrary:
             raise ParameterError("mode wavenumbers and rates must be > 0")
         if (np.diff(cols.rate) < 0).any():
             raise ParameterError("mode library must be sorted by decay rate")
-        for col in cols:
+        self._adopt(target, background_mu_r, cols, max_l, max_n)
+
+    def _adopt(self, target, background_mu_r, columns, max_l, max_n) -> None:
+        for col in columns:
             col.flags.writeable = False
         self.__dict__.update(
-            target=target, background_mu_r=background_mu_r, columns=cols, max_l=max_l, max_n=max_n
+            target=target, background_mu_r=background_mu_r, columns=columns, max_l=max_l, max_n=max_n
         )
 
     def __setattr__(self, name, value):
@@ -155,8 +180,19 @@ class ModeLibrary:
             for l, n, x, rate, norm in self._rows()
         )
 
-    def sector(self, l: int) -> list:
-        return [self.modes[i] for i in np.flatnonzero(self.columns.l == l)]
+    def _mode(self, i: int) -> Mode:
+        """Mode ``i`` in rate order, taken from `modes` if built, else built alone."""
+        if "modes" in self.__dict__:
+            return self.modes[i]
+        c = self.columns
+        return Mode(l=int(c.l[i]), m=0, n=int(c.n[i]), x=float(c.x[i]),
+                    decay_rate_per_s=float(c.rate[i]), norm=float(c.norm[i]),
+                    radius_m=self.target.radius_m)
+
+    def sector(self, l: int) -> "_Sector":
+        """The modes of sector l in rate order, as a read-only sequence that
+        builds a `Mode` only for each item read."""
+        return _Sector(self, np.flatnonzero(self.columns.l == l))
 
     @property
     def rates(self) -> np.ndarray:
@@ -219,23 +255,46 @@ class ModeLibrary:
             return cls.from_dict(json.load(fh))
 
 
+class _Sector(Sequence):
+    """Modes of one sector of a `ModeLibrary`; a slice is a list of `Mode`."""
+
+    __slots__ = ("_library", "_index")
+
+    def __init__(self, library: ModeLibrary, index: np.ndarray):
+        self._library, self._index = library, index
+
+    def __len__(self) -> int:
+        return self._index.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._library._mode(j) for j in self._index[i].tolist()]
+        return self._library._mode(int(self._index[i]))
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, _Sector) else other)
+
+
 def eigencondition(l: int, x, mu_ratio: float):
     """Residual of the sphere eigencondition; zeros are mode wavenumbers."""
     if l < 1:
         raise ParameterError("sector degree l must be >= 1")
+    xa = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):  # F' is infinite at x = 0; F is not
-        return _eigencondition_fdf(l, mu_ratio, np.asarray(x, dtype=float))[0]
+        return _eigencondition_fdf(l, mu_ratio, xa)[0].reshape(xa.shape)[()]
 
 
-def _eigencondition_fdf(l: int, mu_ratio: float, x: np.ndarray) -> tuple:
+def _eigencondition_fdf(l, mu_ratio: float, x: np.ndarray) -> tuple:
     """(F, F') from one pair of Bessel values, with c = l (1 - mu_ratio):
-    F = x j_(l-1) - c j_l and F' = (l - c) j_(l-1) + (c (l+1)/x - x) j_l."""
+    F = x j_(l-1) - c j_l and F' = (l - c) j_(l-1) + (c (l+1)/x - x) j_l.
+
+    ``l`` is an int or a per-element int array (`_bessel_neighbours`)."""
     c = l * (1.0 - mu_ratio)
-    jm, jl = spherical_bessel_j(l - 1, x), spherical_bessel_j(l, x)
+    jm, jl = _bessel_neighbours(l, x)
     return x * jm - c * jl, (l - c) * jm + (c * (l + 1) / x - x) * jl
 
 
-def _residual_ok(l: int, x: np.ndarray, mu_ratio: float) -> np.ndarray:
+def _residual_ok(l, x: np.ndarray, mu_ratio: float) -> np.ndarray:
     """Per root: |F(x)| within 1e-12 (scaled) or within its rounding floor 8 eps x |F'(x)|.
 
     F and F' come from `_eigencondition_fdf`, the pair the Newton finish uses.
@@ -246,44 +305,66 @@ def _residual_ok(l: int, x: np.ndarray, mu_ratio: float) -> np.ndarray:
     return np.abs(f) <= np.maximum(1e-12 * scale, floor)
 
 
-def _sector_wavenumbers(l: int, mu_ratio: float, count: int) -> np.ndarray:
-    """First ``count`` eigen-wavenumbers of sector l.
+def _wavenumbers(ls, mu_ratio: float, count: int) -> tuple:
+    """First ``count`` eigen-wavenumbers of every sector in ``ls``, in one pass.
 
-    Brackets come from the merged zeros of j_(l-1) and j_l
-    (`_bessel_zero_ladder`, held for the life of the process): on each open
-    subinterval both Bessel terms keep a fixed sign, so a sign change of the
-    residual at the endpoints brackets exactly one root and none are missed.
-    Nonmagnetic sectors need zeros of j_(l-1) only.
+    Returns (l, x): x sector after sector, and l per root, an int when
+    ``ls`` holds one sector.  Brackets come from the merged zeros of
+    j_(l-1) and j_l (one `_bessel_zero_ladder` call, held for the life of
+    the process): on each open subinterval both Bessel terms keep a fixed
+    sign, so a sign change of the residual at the endpoints brackets exactly
+    one root and none are missed.  Nonmagnetic sectors need zeros of
+    j_(l-1) only.  All roots are refined in one Newton loop in which each
+    root carries its l, and every Bessel value comes from
+    `_bessel_neighbours` with one sector as the array, so each sector's
+    roots equal a computation of that sector alone, bit for bit.
     """
     extra = count + 2
-    ladder = _bessel_zero_ladder(l - (mu_ratio == 1.0), extra)
-    za = ladder[l - 1]
+    ladder = _bessel_zero_ladder(max(ls) - (mu_ratio == 1.0), extra)
+
+    def degree(column):  # one sector keeps l an int: scalar arithmetic, no selection
+        return column if len(ls) > 1 else ls[0]
+
     if mu_ratio == 1.0:
         # the condition reduces to x j_(l-1)(x) = 0
-        roots = za[:count]
+        roots = [ladder[l - 1][:count] for l in ls]
     else:
-        pts = np.sort(np.concatenate([[1e-9], za[:extra], ladder[l][:extra]]))
-        res = eigencondition(l, pts, mu_ratio)
+        pts = [np.sort(np.concatenate([[1e-9], ladder[l - 1][:extra], ladder[l][:extra]]))
+               for l in ls]
+        lp, xp = np.repeat(ls, [p.size for p in pts]), np.concatenate(pts)
+        res = _eigencondition_fdf(degree(lp), mu_ratio, xp)[0]
         sign = np.sign(res)
-        flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        lo, hi = pts[flips], pts[flips + 1]
-        roots = _refine_roots(partial(_eigencondition_fdf, l, mu_ratio), lo, hi, res[flips])
-        roots = np.sort(roots)
-        roots = roots[roots > 1e-8][:count]
-    if roots.size < count:
-        raise NumericalError(f"found only {roots.size} of {count} roots for l={l}")
-    if not np.all(_residual_ok(l, roots, mu_ratio)):
+        flips = np.nonzero((sign[:-1] * sign[1:] < 0) & (lp[:-1] == lp[1:]))[0]
+        lr = lp[flips]
+        found = _refine_roots(
+            lambda x, l=ls[0]: _eigencondition_fdf(l, mu_ratio, x),
+            xp[flips], xp[flips + 1], res[flips], labels=lr if len(ls) > 1 else None,
+        )
+        roots = []
+        for l in ls:
+            r = np.sort(found[lr == l])
+            roots.append(r[r > 1e-8][:count])
+    for l, r in zip(ls, roots):
+        if r.size < count:
+            raise NumericalError(f"found only {r.size} of {count} roots for l={l}")
+    lcol, xcol = degree(np.repeat(ls, count)), np.concatenate(roots)
+    if not np.all(_residual_ok(lcol, xcol, mu_ratio)):
         raise NumericalError("eigencondition residual above its rounding floor after polishing")
-    return roots
+    return lcol, xcol
 
 
-def _lommel(l: int, x):
+def _sector_wavenumbers(l: int, mu_ratio: float, count: int) -> np.ndarray:
+    """First ``count`` eigen-wavenumbers of sector l: `_wavenumbers` of one sector."""
+    return _wavenumbers((l,), mu_ratio, count)[1]
+
+
+def _lommel(l, x):
     """J(x) = int_0^1 j_l(x u)^2 u^2 du = [j_l(x)^2 - j_(l-1)(x) j_(l+1)(x)] / 2.
 
-    Lommel closed form, valid for every x.
+    Lommel closed form, valid for every x; ``l`` is an int or per element.
     """
-    jl = spherical_bessel_j(l, x)
-    return 0.5 * (jl * jl - spherical_bessel_j(l - 1, x) * spherical_bessel_j(l + 1, x))
+    jm, jl, jp = _bessel_neighbours(l, x, 3)
+    return 0.5 * (jl * jl - jm * jp)
 
 
 # Sector spectra by (l, mu_c/mu_b): the longest wavenumber array computed so
@@ -312,26 +393,44 @@ def sector_spectrum(l: int, mu_ratio: float, count: int) -> tuple:
             entry = None
     if entry is None:
         xs = _sector_wavenumbers(l, mu_ratio, count)
-        entry = (xs, _lommel(l, xs))
-        for arr in entry:
-            arr.flags.writeable = False
-        _store_spectrum(key, entry)
+        entry = _store_spectrum(key, xs, _lommel(l, xs))
     return entry[0][:count], entry[1][:count]
 
 
-def _store_spectrum(key, entry) -> None:
-    """Hold ``entry`` unless it alone exceeds the cap or a longer one is held."""
+def _fill_spectra(ls, mu_ratio: float, count: int) -> None:
+    """Compute, in one `_wavenumbers` pass, the sectors of ``ls`` that the cache lacks."""
+    if count < 1:
+        return
+    with _spectra_lock:
+        lacking = [l for l in ls
+                   if (l, mu_ratio) not in _spectra or _spectra[(l, mu_ratio)][0].size < count]
+    if not lacking:
+        return
+    degree, xcol = _wavenumbers(lacking, mu_ratio, count)
+    radial = _lommel(degree, xcol)
+    for i, l in enumerate(lacking):
+        part = slice(i * count, (i + 1) * count)
+        _store_spectrum((l, mu_ratio), xcol[part].copy(), radial[part].copy())
+
+
+def _store_spectrum(key, xs, radial) -> tuple:
+    """Make (xs, radial) read-only and hold it, unless it alone exceeds the
+    cap or a longer entry is held; return it."""
     global _spectra_size
-    size = entry[0].size
+    entry = (xs, radial)
+    for arr in entry:
+        arr.flags.writeable = False
+    size = xs.size
     with _spectra_lock:
         old = _spectra.get(key)
         if size > _SPECTRUM_CAP or (old is not None and old[0].size >= size):
-            return
+            return entry
         _spectra.pop(key, None)
         _spectra_size += size - (0 if old is None else old[0].size)
         _spectra[key] = entry
         while _spectra_size > _SPECTRUM_CAP:
             _spectra_size -= _spectra.popitem(last=False)[1][0].size
+    return entry
 
 
 def normalization_constant(target: TargetSpec, l: int, x, radial=None) -> np.ndarray | float:
@@ -382,19 +481,28 @@ def radial_fd_decay_rates(
     u(a) = 0, on a uniform grid (second order).  The boundary row is scaled
     by 1/2 so the generalized problem stays symmetric definite, then folded
     into a standard symmetric tridiagonal problem.  This solver shares no
-    code with the eigencondition path and exists to validate it.
+    code with the eigencondition path and exists to validate it.  Its
+    eigenvalues scale as 1/a^2, so it is solved at a = 1 (`_fd_eigenvalues`).
     """
     if grid_points < 100:
         raise ParameterError("grid_points must be >= 100")
     if count > grid_points // 4:
         raise ParameterError("count too large for the grid")
     mu_ratio = target.material.relative_permeability / background_mu_r
-    a = target.radius_m
-    h = a / grid_points
+    k2 = _fd_eigenvalues(l, mu_ratio, grid_points, count)
+    return diffusivity(target.material) * k2 / target.radius_m**2
+
+
+@lru_cache(maxsize=32)
+def _fd_eigenvalues(l: int, mu_ratio: float, grid_points: int, count: int) -> np.ndarray:
+    """Lowest ``count`` eigenvalues (k a)^2 of the radial FD problem at a = 1,
+    read-only and held per (l, mu_ratio, grid_points, count): repeated
+    sectors (every nonmagnetic one) are solved once per process."""
+    h = 1.0 / grid_points
     r = np.arange(1, grid_points + 1) * h
     diag = np.full(grid_points, 2.0 / h**2) + l * (l + 1) / r**2
     off = np.full(grid_points - 1, -1.0 / h**2)
-    diag[-1] = 1.0 / h**2 + l * mu_ratio / (a * h) + l * (l + 1) / (2.0 * a**2)
+    diag[-1] = 1.0 / h**2 + l * mu_ratio / h + l * (l + 1) / 2.0
     # mass matrix diag(1, ..., 1, 1/2); fold in via symmetric scaling
     s_last = np.sqrt(2.0)
     diag[-1] *= 2.0
@@ -407,8 +515,9 @@ def radial_fd_decay_rates(
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError("tridiagonal eigensolver failed") from exc
-    d_c = diffusivity(target.material)
-    return d_c * np.sort(k2)
+    k2 = np.sort(k2)
+    k2.flags.writeable = False
+    return k2
 
 
 def build_mode_library(
@@ -419,9 +528,14 @@ def build_mode_library(
 ) -> ModeLibrary:
     """Modes for all sectors l = 1..max_l, globally sorted by decay rate.
 
-    The m degeneracy of the sphere is exact; modes are stored once with
-    m = 0 and reconstructed per m by the excitation machinery as needed.
+    The sectors the spectrum cache lacks are computed in one pass
+    (`_fill_spectra`); each sector is then read by `find_decay_rates`, and
+    their validated columns are joined without a second check.  The m
+    degeneracy of the sphere is exact; modes are stored once with m = 0 and
+    reconstructed per m by the excitation machinery as needed.
     """
+    mu_ratio = target.material.relative_permeability / background_mu_r
+    _fill_spectra(range(1, max_l + 1), mu_ratio, count_per_l)
     sectors = [
         find_decay_rates(target, background_mu_r, l, count_per_l).columns
         for l in range(1, max_l + 1)
@@ -429,4 +543,4 @@ def build_mode_library(
     cols = ModeColumns(*map(np.concatenate, zip(*sectors)))
     order = np.lexsort((cols.n, cols.l, cols.rate))  # by rate, then l, then n
     columns = ModeColumns(*(col[order] for col in cols))
-    return ModeLibrary.from_columns(target, background_mu_r, columns, max_l, count_per_l)
+    return ModeLibrary._of(target, background_mu_r, columns, max_l, count_per_l)

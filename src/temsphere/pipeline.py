@@ -28,6 +28,7 @@ from .excitation import (
     compute_excitation,
     coupling_table,
     synthesize_voltage,
+    transmitter_line_integrals,
 )
 from .modes import ModeLibrary, build_mode_library
 
@@ -88,12 +89,18 @@ def early_response(
     """Staged early-time pipeline and the receiver signal of one scenario.
 
     The signal comes from the coupling table, as in `forward_model`; the
-    stages serve the per-stage report and the field scan.
+    stages serve the per-stage report and the field scan.  Both read one
+    evaluation of each transmitter line integral.
     """
     tx, rx, current = config.transmitter, config.receiver, config.pulse.effective_current_a
     mu_b = config.environment.background.relative_permeability
-    early = run_early_pipeline(config.target, mu_b, tx, config.max_l, source_current_a=current)
-    coupling = coupling_table(config.target, tx, rx, config.max_l, current)
+    lines = None
+    if isinstance(tx, Loop):
+        lines = transmitter_line_integrals(config.target, tx, config.max_l)
+    early = run_early_pipeline(
+        config.target, mu_b, tx, config.max_l, source_current_a=current, line_integrals=lines
+    )
+    coupling = coupling_table(config.target, tx, rx, config.max_l, current, lines)
     return early, early_signal(coupling, rx, markers, config.target)
 
 

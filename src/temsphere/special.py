@@ -82,17 +82,6 @@ def _bessel_downward(l: int, x: np.ndarray) -> np.ndarray:
     return out * (np.sin(x) / x) / jc
 
 
-def _bessel_upward(l: int, x: np.ndarray) -> np.ndarray:
-    # stable for x >= l (oscillatory regime)
-    jm = np.sin(x) / x
-    if l == 0:
-        return jm
-    jc = jm / x - np.cos(x) / x
-    for k in range(1, l):
-        jm, jc = jc, (2 * k + 1) / x * jc - jm
-    return jc
-
-
 def spherical_bessel_j(l: int, x) -> np.ndarray | float:
     """Spherical Bessel function j_l(x) for x >= 0, accurate to ~1e-13."""
     if l < 0:
@@ -116,37 +105,113 @@ def spherical_bessel_j(l: int, x) -> np.ndarray | float:
 
 def _bessel_above_cut(l: int, x: np.ndarray) -> np.ndarray:
     # closed forms for l <= 2; recurrences beyond
-    if l == 0:
-        return np.sin(x) / x
-    if l == 1:
-        return np.sin(x) / x**2 - np.cos(x) / x
-    if l == 2:
-        return (3.0 / x**3 - 1.0 / x) * np.sin(x) - 3.0 / x**2 * np.cos(x)
     up = x >= l  # upward recurrence is stable only in the oscillatory regime
-    if up.all():
-        return _bessel_upward(l, x)
+    if l <= 2 or up.all():
+        return _bessel_rows(x, l, l)[0]
     vals = np.empty_like(x)
     if up.any():
-        vals[up] = _bessel_upward(l, x[up])
+        vals[up] = _bessel_rows(x[up], l, l)[0]
     vals[~up] = _bessel_downward(l, x[~up])
     return vals
 
 
-def _refine_roots(fdf, lo, hi, flo=None, max_iter=100):
+def _bessel_rows(x: np.ndarray, lo: int, hi: int) -> list:
+    """[j_lo(x), ..., j_hi(x)] from one sin and cos of ``x``, elementwise.
+
+    Orders 0-2 are closed forms; higher orders come from the upward
+    recurrence started at j_0 and j_1, which is exact only for x >= order.
+    """
+    s = np.sin(x)
+    j0 = s / x
+    rows = [j0] if lo == 0 else []
+    if hi >= 1:
+        c = np.cos(x)
+    if lo <= 1 <= hi:
+        rows.append(s / x**2 - c / x)
+    if lo <= 2 <= hi:
+        rows.append((3.0 / x**3 - 1.0 / x) * s - 3.0 / x**2 * c)
+    if hi >= 3:
+        jm, jc = j0, j0 / x - c / x
+        for k in range(1, hi):
+            jm, jc = jc, (2 * k + 1) / x * jc - jm
+            if k >= 2 and k + 1 >= lo:
+                rows.append(jc)
+    return rows
+
+
+def _bessel_neighbours(l, x, count: int = 2) -> list:
+    """[j_(l-1)(x), j_l(x), ...]: ``count`` consecutive orders from l - 1.
+
+    ``l`` is an int or an int array like ``x``, so every element may carry
+    its own degree.  The result equals `spherical_bessel_j` of each order on
+    the elements of each l, bit for bit.  Where that function uses a closed
+    form (order <= 2) or the upward recurrence (x >= order) its value is
+    elementwise, and one sin/cos and one recurrence here (`_bessel_rows`)
+    give every order.  Its power series (x < order/2) and downward
+    recurrence (x < order) depend on the whole array they run on, so those
+    elements go to `spherical_bessel_j` as one array per l and order, in
+    their given order.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if isinstance(l, (int, np.integer)):
+        l = lmin = lmax = int(l)
+    else:
+        l = np.asarray(l)
+        lmin, lmax = (int(l.min()), int(l.max())) if l.size else (1, 1)
+    lo, hi = lmin - 1, lmax + count - 2
+    elementwise = not x.size or x.min() >= _elementwise_from(hi)
+    if elementwise:
+        rows = _bessel_rows(x, lo, hi)
+    else:
+        with np.errstate(all="ignore"):  # values below the cut are replaced below
+            rows = _bessel_rows(x, lo, hi)
+    if lmin == lmax:
+        out = rows
+    else:
+        table, idx = np.array(rows), np.arange(x.size)
+        out = [table[l + (d - lmin), idx] for d in range(count)]
+    if elementwise:
+        return out
+    for d, vals in enumerate(out):
+        order = l + (d - 1)
+        low = x < _elementwise_from(order)
+        if low.any():
+            order = np.broadcast_to(order, x.shape)
+            for k in sorted(set(order[low].tolist())):
+                part = low & (order == k)
+                vals[part] = spherical_bessel_j(k, x[part])
+    return out
+
+
+def _elementwise_from(order):
+    """Least x at which `spherical_bessel_j` of ``order`` (an int or an int
+    array) takes a closed form or the upward recurrence."""
+    if isinstance(order, int):
+        return order if order >= 3 else max(0.5 * order, 0.5)
+    return np.where(order >= 3, order, np.maximum(0.5 * order, 0.5))
+
+
+def _refine_roots(fdf, lo, hi, flo=None, max_iter=100, labels=None):
     """Roots of f in the sign-change brackets [lo, hi], by bracketed Newton.
 
     ``fdf(x)`` returns ``(f(x), f'(x))``; ``flo`` is f at ``lo`` (only its
-    sign is used), evaluated here when omitted.  Each root starts at its bracket
-    midpoint; after every step the bracket shrinks to the side where f
-    changes sign, and a Newton step that lands outside the bracket (its ends
-    count as inside) is replaced by bisection.  A root stops on its own once
-    |step| <= 4 eps |x| or f = 0, so its value depends on its bracket alone.
-    Raises `NumericalError` if any root is still moving after ``max_iter``
-    steps.
+    sign is used), evaluated here when omitted.  With per-root ``labels``
+    (such as each root's sector degree) it is called as ``fdf(x, labels)``
+    with the labels of the roots still moving.  Each root starts at its
+    bracket midpoint; after every step the bracket shrinks to the side where
+    f changes sign, and a Newton step that lands outside the bracket (its
+    ends count as inside) is replaced by bisection.  A root stops on its own
+    once |step| <= 4 eps |x| or f = 0, so its value depends on its bracket
+    alone.  Raises `NumericalError` if any root is still moving after
+    ``max_iter`` steps.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    flo = fdf(lo)[0] if flo is None else np.asarray(flo, dtype=float)
+    if labels is not None:
+        labels = np.asarray(labels)
+    if flo is None:
+        flo = (fdf(lo) if labels is None else fdf(lo, labels))[0]
+    flo = np.asarray(flo, dtype=float)
     x = 0.5 * (lo + hi)
     roots = np.empty_like(x)
     todo = np.arange(x.size)
@@ -154,7 +219,7 @@ def _refine_roots(fdf, lo, hi, flo=None, max_iter=100):
     for _ in range(max_iter):
         if todo.size == 0:
             return roots
-        f, df = fdf(x)
+        f, df = fdf(x) if labels is None else fdf(x, labels)
         left = np.sign(f) == np.sign(flo)
         lo = np.where(left, x, lo)
         hi = np.where(left, hi, x)
@@ -167,6 +232,8 @@ def _refine_roots(fdf, lo, hi, flo=None, max_iter=100):
         x = np.where(inside, newton, 0.5 * (lo + hi))
         keep = ~done
         todo, x, lo, hi, flo = todo[keep], x[keep], lo[keep], hi[keep], flo[keep]
+        if labels is not None:
+            labels = labels[keep]
     if todo.size:
         raise NumericalError(
             f"{todo.size} of {roots.size} roots did not converge in {max_iter} steps"
@@ -182,8 +249,8 @@ _zeros_lock = threading.Lock()
 
 def _bessel_zero_fdf(k: int, x):
     """(j_k(x), j_k'(x)), the derivative from j_(k-1)."""
-    jk = spherical_bessel_j(k, x)
-    return jk, spherical_bessel_j(k - 1, x) - (k + 1) / x * jk
+    jm, jk = _bessel_neighbours(k, x)
+    return jk, jm - (k + 1) / x * jk
 
 
 def _bessel_zero_ladder(max_order: int, count: int) -> list:

@@ -123,3 +123,31 @@ def test_erfc_matches_scipy():
     keep = want >= 1e-300
     assert np.count_nonzero(keep) > 3000
     np.testing.assert_allclose(got[keep], want[keep], rtol=1e-13, atol=0.0)
+
+
+# Runs in a fresh interpreter: no Bessel zero is held yet.
+COLD_LADDER = """
+import temsphere as ts
+from temsphere import special
+
+refined, refine = [], special._refine_roots
+
+def counting(fdf, lo, hi, *args, **kwargs):
+    refined.append(len(lo))
+    return refine(fdf, lo, hi, *args, **kwargs)
+
+special._refine_roots = counting
+target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8, 60.0))
+assert len(ts.build_mode_library(target, 1.0, 6, 100)) == 600
+print(len(refined), [z.size for z in special._zeros])
+"""
+
+
+def test_first_library_refines_each_bessel_order_once():
+    # the library asks the ladder once for its highest sector, so each order
+    # 1..max_l is refined in one Newton loop (21 loops when each sector asked)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", COLD_LADDER], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split(maxsplit=1)
+    assert int(out[0]) <= 6 + 1
+    assert json.loads(out[1]) == [102 + 6 - k for k in range(7)]

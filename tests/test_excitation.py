@@ -273,6 +273,16 @@ class TestSynthesis:
         assert series.values[0] == pytest.approx(2.0 * np.exp(-0.3))
         assert series.values[2] == pytest.approx(2.0 * np.exp(-10.0), rel=1e-12)
 
+    def test_mode_sum_skips_only_exact_zeros(self, aluminum_500_library, tx_loop, rx_loop):
+        lib = aluminum_500_library
+        coeffs = ts.compute_excitation(lib, ts.PulseWaveform(1.0, ramp="step"), tx_loop, rx_loop)
+        tau_c = lib.target.radius_m**2 / ts.diffusivity(lib.target.material)
+        t = np.geomspace(1e-7 * tau_c, 10.0 * tau_c, 200)
+        exponent = np.outer(t, lib.rates)
+        assert (exponent > 745.2).any() and (exponent[-1] > 745.2).mean() < 1.0
+        want = np.exp(-np.outer(t, lib.rates)) @ coeffs.voltages
+        assert ex._mode_sum(lib, coeffs, t).tobytes() == want.tobytes()
+
     def test_empty_library_fails(self, aluminum_sphere):
         lib = ts.ModeLibrary(
             target=aluminum_sphere, background_mu_r=1.0, modes=(), max_l=1, max_n=0

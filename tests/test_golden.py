@@ -195,6 +195,24 @@ def test_forward_model_reads_one_coupling_table(name, monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_early_evaluates_each_line_integral_once(name, tmp_path, monkeypatch):
+    # the staged illumination takes the transmitter's L_lm from the table's
+    # evaluation; a polygon transmitter needs every m, a circular receiver m = 0
+    calls = []
+    line_integral = excitation.exterior_multipole_line_integral
+
+    def counted(l, m, loop, radius_m):
+        calls.append((l, m, loop))
+        return line_integral(l, m, loop, radius_m)
+
+    monkeypatch.setattr(excitation, "exterior_multipole_line_integral", counted)
+    run_early_case(name, str(tmp_path))
+    assert len(calls) == len(set(calls))
+    if name == "polygon-table-l2-mu1":  # square transmitter, circular receiver, max_l 2
+        assert len(calls) == 8 + 2
+
+
 def _assert_early_report(got, ref):
     assert sorted(got) == sorted(ref)
     for key in ("amplitude_v_sqrt_s", "t_ref_s", "window_s"):

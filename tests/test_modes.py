@@ -110,18 +110,23 @@ class TestFindDecayRates:
 
 class TestResidualGate:
     def test_one_bessel_pair_per_sector(self, monkeypatch):
-        # the gate takes F and F' from the Newton pair: j_(l-1) and j_l once each
+        # the gate takes F and F' from the Newton pair: one j_(l-1), j_l
+        # kernel call, and no `spherical_bessel_j` call for roots above x = l
         roots = _sector_wavenumbers(2, 60.0, 50)
-        calls = []
+        calls, kernel = [], special._bessel_neighbours
 
         def counted(l, x):
             calls.append(l)
             return spherical_bessel_j(l, x)
 
-        for module in (modes_mod, special):
-            monkeypatch.setattr(module, "spherical_bessel_j", counted)
+        def pairs(l, x, count=2):
+            calls.append(("pair", l, count))
+            return kernel(l, x, count)
+
+        monkeypatch.setattr(special, "spherical_bessel_j", counted)
+        monkeypatch.setattr(modes_mod, "_bessel_neighbours", pairs)
         assert _residual_ok(2, roots, 60.0).all()
-        assert sorted(calls) == [1, 2]
+        assert calls == [("pair", 2, 2)]
 
 
 class TestModeCountCeiling:
@@ -166,6 +171,15 @@ class TestRadialFdOracle:
     def test_ascending(self, steel_sphere):
         fd = ts.radial_fd_decay_rates(steel_sphere, 1.0, 2, 500, count=8)
         assert np.all(np.diff(fd) > 0)
+
+    def test_one_unit_radius_solve_per_sector(self, aluminum):
+        # rates scale as 1/a^2: two radii share one solve of the a = 1 problem
+        modes_mod._fd_eigenvalues.cache_clear()
+        small, large = (ts.TargetSpec(a, aluminum) for a in (0.02, 0.1))
+        fd_small = ts.radial_fd_decay_rates(small, 1.0, 2, 500, count=4)
+        fd_large = ts.radial_fd_decay_rates(large, 1.0, 2, 500, count=4)
+        assert modes_mod._fd_eigenvalues.cache_info().misses == 1
+        np.testing.assert_allclose(fd_small * 0.02**2, fd_large * 0.1**2, rtol=1e-15)
 
     def test_grid_validation(self, aluminum_sphere):
         with pytest.raises(ParameterError):
@@ -331,6 +345,36 @@ class TestHeldBesselZeros:
         assert refined == []
 
 
+class TestOnePassLibrary:
+    # (mu_c/mu_b, max_l, count): below, at and above a mu ratio of 1
+    CASES = ((1 / 300, 3, 40), (0.5, 2, 600), (1.0, 6, 100), (1.0, 1, 1), (1.5, 4, 7),
+             (60.0, 6, 110), (60.0, 1, 600), (300.0, 6, 1), (300.0, 2, 250))
+
+    @staticmethod
+    def _cold(monkeypatch):
+        monkeypatch.setattr(modes_mod, "_spectra", OrderedDict())
+        monkeypatch.setattr(modes_mod, "_spectra_size", 0)
+
+    def test_sectors_equal_sectors_built_alone(self, monkeypatch):
+        # every sector of a one-pass library, on a cold spectrum cache, equals
+        # `find_decay_rates` of that sector alone on a cold cache, bit for bit
+        rng = np.random.default_rng(29)
+        drawn = [(float(np.exp(rng.uniform(-np.log(300), np.log(300)))),
+                  int(rng.integers(1, 7)), int(rng.integers(1, 601))) for _ in range(6)]
+        for mu_ratio, max_l, count in self.CASES + tuple(drawn):
+            target = ts.TargetSpec(0.04, ts.MaterialSpec(1 / 2.8e-8, max(mu_ratio, 1.0)))
+            mu_b = target.material.relative_permeability / mu_ratio
+            self._cold(monkeypatch)
+            lib = ts.build_mode_library(target, mu_b, max_l, count)
+            for l in range(1, max_l + 1):
+                self._cold(monkeypatch)
+                alone = ts.find_decay_rates(target, mu_b, l, count).columns
+                sector = lib.columns.l == l
+                for name in ("x", "rate", "norm"):
+                    got = getattr(lib.columns, name)[sector]
+                    assert np.array_equal(got, getattr(alone, name)), (mu_ratio, max_l, count, l)
+
+
 class TestSpectrumCache:
     def test_prefix_equals_fresh_computation(self, empty_spectra):
         rng = np.random.default_rng(8)
@@ -472,6 +516,22 @@ class TestColumnLibrary:
         assert json.dumps(lib.to_dict(), indent=1) == json.dumps(twin.to_dict(), indent=1)
         assert len(lib) == len(twin) == 60
         assert list(lib) == list(twin.modes) and lib[7] == twin[7]
+
+    def test_sector_slice_builds_only_what_is_read(self, steel_sphere, monkeypatch):
+        lib = ts.build_mode_library(steel_sphere, 1.0, max_l=2, count_per_l=300)
+        built, post_init = [], modes_mod.Mode.__post_init__
+
+        def counted(mode):
+            built.append(mode)
+            post_init(mode)
+
+        monkeypatch.setattr(modes_mod.Mode, "__post_init__", counted)
+        first = lib.sector(1)[:3]
+        assert [m.n for m in first] == [1, 2, 3] and len(built) == 3
+        assert len(lib.sector(2)) == 300 and lib.sector(2)[-1].n == 300 and len(built) == 4
+        assert "modes" not in vars(lib)
+        assert first == [m for m in lib.modes if m.l == 1][:3]
+        assert list(lib.sector(1)) == [m for m in lib.modes if m.l == 1]
 
     def test_find_decay_rates_is_one_sector_library(self, steel_sphere):
         sector = ts.find_decay_rates(steel_sphere, 1.0, l=2, count=6)

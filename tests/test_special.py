@@ -4,6 +4,7 @@ from scipy.special import spherical_jn
 
 from temsphere.core import NumericalError, ParameterError
 from temsphere.special import (
+    _bessel_neighbours,
     _bessel_zero_ladder,
     _gauss_legendre,
     _refine_roots,
@@ -61,6 +62,29 @@ class TestSphericalBessel:
             spherical_bessel_j(-1, 1.0)
         with pytest.raises(ParameterError):
             spherical_bessel_j(1, -1.0)
+
+
+class TestBesselNeighbours:
+    # every regime of `spherical_bessel_j` for orders 0-13: power series
+    # (x < max(k/2, 1/2)), downward recurrence (k/2 <= x < k, k >= 3), closed
+    # forms (k <= 2) and upward recurrence (x >= k)
+    X = np.concatenate([[1e-9, 0.3], np.linspace(0.05, 16.0, 151), [2.5, 3.0, 6.0, 13.0]])
+
+    @pytest.mark.parametrize("l", range(1, 13))
+    def test_one_degree_equals_spherical_bessel_j(self, l):
+        for d, vals in enumerate(_bessel_neighbours(l, self.X, 3)):
+            assert vals.tobytes() == spherical_bessel_j(l - 1 + d, self.X).tobytes(), d
+
+    def test_mixed_degrees_equal_one_array_per_degree(self):
+        rng = np.random.default_rng(4)
+        ls = rng.integers(1, 9, 400)
+        x = np.concatenate([[1e-9] * 8, rng.uniform(0.0, 14.0, 392)])
+        got = _bessel_neighbours(ls, x, 3)
+        for l in range(1, 9):
+            part = ls == l
+            for d in range(3):
+                want = spherical_bessel_j(l - 1 + d, x[part])
+                assert got[d][part].tobytes() == want.tobytes(), (l, d)
 
 
 class TestRefineRoots:
