@@ -8,13 +8,15 @@ weighted linear least squares, and only the rates are optimized, by a
 numpy Levenberg-Marquardt on the projected residual with the Kaufman
 Jacobian (Golub & Pereyra 2003, Inverse Problems 19:R1), from a
 deterministic multistart protocol, with strict ordering enforced through a
-log-gap parameterization.  Classification avoids rate estimation entirely:
+log-gap parameterization.  The starts of one fit level step in lockstep as
+stacked arrays, one stacked QR and solve per iteration for all of them,
+each start with its own damping and decisions.  Classification avoids rate
+estimation entirely:
 candidate targets are forward-modeled and ranked by weighted RMS misfit.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -121,8 +123,10 @@ def fit_power_law(
 
 
 def _rates_from_params(u: np.ndarray) -> np.ndarray:
-    """lambda_0 = exp(u_0), lambda_i = lambda_(i-1) (1 + exp(u_i))."""
-    return np.cumprod(np.concatenate((np.exp(u[:1]), 1.0 + np.exp(u[1:]))))
+    """lambda_0 = exp(u_0), lambda_i = lambda_(i-1) (1 + exp(u_i)), along the last axis."""
+    factors = np.exp(u)
+    factors[..., 1:] += 1.0
+    return np.cumprod(factors, axis=-1)
 
 
 def _params_from_rates(rates: np.ndarray) -> np.ndarray:
@@ -133,79 +137,130 @@ def _params_from_rates(rates: np.ndarray) -> np.ndarray:
 # is reported unconverged
 LM_MAX_EVALS = 100
 _Projection = namedtuple("_Projection", "sse coef design jac resid")
+_Starts = namedtuple("_Starts", "u sse coef design converged")
 
 
-def _project(u, t, w, wy, extra, below=math.inf):
-    """Variable-projection residual at log-gap parameters ``u``, or None.
+def _solve(a, b):
+    """Solve a stack of systems a x = b; the rows of a singular ``a`` are NaN."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
-    ``t``, ``w`` are gate and weight columns, ``extra`` the weighted power-law
-    and baseline columns.  ``jac`` is the Kaufman Jacobian -P_perp (d design/du)
-    coef; ``2 jac^T resid`` is the exact SSE gradient, since the term it drops
-    lies in the design's range, orthogonal to ``resid``.  None outside the rate
-    box (1e-12..1e12 /s), for a gap parameter below -20 (two rates merging), or
-    where the SSE is not below ``below`` or the solve is not finite.  Far probes
-    overflow: callers use ``np.errstate(over="ignore", invalid="ignore")``.
+
+def _project(u, t, w, wy, extra, below):
+    """Variable-projection residuals of a stack of starts, one per row of ``u``.
+
+    ``u`` holds log-gap parameters, ``t``, ``w`` are gate and weight columns,
+    ``extra`` the weighted power-law and baseline columns and ``below`` the
+    SSE each row must fall under.  Returns (rows, projection): the indices of
+    the accepted rows and their stacked `_Projection`.  ``jac`` is the Kaufman
+    Jacobian -P_perp (d design/du) coef; ``2 jac^T resid`` is the exact SSE
+    gradient, since the term it drops lies in the design's range, orthogonal
+    to ``resid``.  A row is rejected outside the rate box (1e-12..1e12 /s), for
+    a gap parameter below -20 (two rates merging), or where its SSE is not
+    below ``below`` or its solve is not finite.  Far probes overflow: callers
+    use ``np.errstate(over="ignore", invalid="ignore")``.
     """
     rates = _rates_from_params(u)
-    if np.any(u[1:] < -20.0) or not (rates[0] >= 1e-12 and rates[-1] <= 1e12):
-        return None
-    k = u.size
-    design = np.concatenate((np.exp(t * -rates) * w, extra), axis=1)
+    rows = np.flatnonzero(np.all(u[:, 1:] >= -20.0, axis=1)
+                          & (rates[:, 0] >= 1e-12) & (rates[:, -1] <= 1e12))
+    if rows.size < len(u):
+        u, rates, below = u[rows], rates[rows], below[rows]
+    k = u.shape[1]
+    design = np.empty((rows.size, t.size, k + extra.shape[1]))
+    np.multiply(np.exp(t * -rates[:, None, :]), w, out=design[..., :k])
+    design[..., k:] = extra
     q, r = np.linalg.qr(design)
-    qy = q.T @ wy
-    resid = wy - q @ qy
-    sse = float(resid @ resid)
-    if not sse < below:
-        return None
-    try:
-        coef = np.linalg.solve(r, qy)
-    except np.linalg.LinAlgError:
-        return None
+    qy = wy @ q
+    resid = wy - (q @ qy[..., None])[..., 0]
+    sse = (resid[:, None, :] @ resid[..., None])[:, 0, 0]
+    keep = sse < below
+    if not keep.all():
+        rows, u, rates, design, q, r, qy, resid, sse = (
+            a[keep] for a in (rows, u, rates, design, q, r, qy, resid, sse))
+    coef = _solve(r, qy)
     # d column_i / d u_j = -t column_i lambda_i sigma_j for i >= j, with
     # sigma_0 = 1 and sigma_j the logistic of u_j
-    dcol = (t * design[:, :k]) * (coef[:k] * -rates)
-    sigma = np.concatenate(([1.0], 1.0 / (1.0 + np.exp(-u[1:]))))
-    d = np.cumsum(dcol[:, ::-1], axis=1)[:, ::-1] * sigma
-    jac = q @ (q.T @ d) - d
-    if not (np.isfinite(coef).all() and np.isfinite(jac).all()):
-        return None
-    return _Projection(sse, coef, design, jac, resid)
+    dcol = (t * design[..., :k]) * (coef[:, None, :k] * -rates[:, None, :])
+    sigma = np.ones_like(u)
+    sigma[:, 1:] = 1.0 / (1.0 + np.exp(-u[:, 1:]))
+    d = dcol  # reverse cumulative sum over the rate columns, then times sigma
+    for j in range(k - 2, -1, -1):
+        d[..., j] += d[..., j + 1]
+    d *= sigma[:, None, :]
+    jac = q @ (q.transpose(0, 2, 1) @ d) - d
+    keep = np.isfinite(coef).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+    if not keep.all():
+        rows, sse, coef, design, jac, resid = (
+            a[keep] for a in (rows, sse, coef, design, jac, resid))
+    return rows, _Projection(sse, coef, design, jac, resid)
 
 
 def _levenberg_marquardt(u, args):
-    """Minimize the projected SSE from ``u``: (u, evaluation, converged).
+    """Minimize the projected SSE from every start (row of ``u``) in lockstep.
 
-    Nielsen's damping update; a step is rejected when ``_project`` rejects its
-    end point, which it does when the SSE does not fall.  Converged when a step
-    is below 1e-8 in every parameter within LM_MAX_EVALS evaluations.  The
-    evaluation is None when ``u`` itself is rejected.
+    Each iteration takes one damped step for every start still running: one
+    stacked solve for the steps and one `_project` of all trial points.  Each
+    start keeps its own damping (Nielsen's update) and decisions: a step is
+    rejected when ``_project`` rejects its end point, which it does when the
+    SSE does not fall, and a start is converged, and leaves the stack, when
+    its step is below 1e-8 in every parameter within LM_MAX_EVALS evaluations.
+    Returns `_Starts` with one row per start; a start rejected at its first
+    point keeps its ``u`` and has an SSE of inf and NaN coefficients.
     """
-    ev = _project(u, *args)
-    if ev is None:
-        return u, None, False
-    eye = np.eye(u.size)
-    mu, nu = None, 2.0
+    n_starts, k = u.shape
+    gates, width = args[0].size, k + args[3].shape[1]
+    out = _Starts(u.copy(), np.full(n_starts, np.inf), np.full((n_starts, width), np.nan),
+                  np.full((n_starts, gates, width), np.nan), np.zeros(n_starts, dtype=bool))
+    live, ev = _project(u, *args, np.full(n_starts, np.inf))
+    u = u[live]
+    sse, coef, design, jac, resid = ev
+    eye = np.eye(k)
+    mu, nu = None, np.full(live.size, 2.0)
+
+    def leave(done, converged):
+        out.u[live[done]], out.sse[live[done]] = u[done], sse[done]
+        out.coef[live[done]], out.design[live[done]] = coef[done], design[done]
+        out.converged[live[done]] = converged
+
     for _ in range(LM_MAX_EVALS):
-        jtj, grad = ev.jac.T @ ev.jac, ev.jac.T @ ev.resid
+        if live.size == 0:
+            break
+        jt = jac.transpose(0, 2, 1)
+        jtj, grad = jt @ jac, (jt @ resid[..., None])[..., 0]
         if mu is None:
-            mu = 1e-2 * float(np.max(np.diag(jtj)))
-        try:
-            step = np.linalg.solve(jtj + mu * eye, -grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and np.max(np.abs(step)) <= 1e-8:
-            return u, ev, True
-        trial = None if step is None else _project(u + step, *args, ev.sse)
-        if trial is not None:
-            # gain ratio: actual over the linear model's predicted SSE fall
-            gain = (ev.sse - trial.sse) / float(step @ (mu * step - grad))
-            u, ev = u + step, trial
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-        else:
-            mu *= nu
-            nu *= 2.0
-    return u, ev, False
+            mu = 1e-2 * np.max(np.diagonal(jtj, axis1=1, axis2=2), axis=1)
+        step = _solve(jtj + mu[:, None, None] * eye, -grad)
+        done = np.max(np.abs(step), axis=1) <= 1e-8
+        if done.any():
+            leave(done, True)
+            going = ~done
+            live, u, sse, coef, design, jac, resid, mu, nu, step, grad = (
+                a[going] for a in (live, u, sse, coef, design, jac, resid, mu, nu, step, grad))
+            if live.size == 0:
+                break
+        # a NaN step (singular solve) lands outside the rate box: rejected
+        ok, trial = _project(u + step, *args, sse)
+        s, g = step[ok], grad[ok]
+        # gain ratio: actual over the linear model's predicted SSE fall
+        gain = (sse[ok] - trial.sse) / (s[:, None, :] @ (mu[ok, None] * s - g)[..., None])[:, 0, 0]
+        factor = nu.copy()  # a rejected step multiplies mu by nu and doubles nu
+        # in Python floats: numpy's vector pow may round differently from C's pow
+        factor[ok] = [max(1.0 / 3.0, 1.0 - (2.0 * x - 1.0) ** 3) for x in gain.tolist()]
+        mu *= factor
+        nu *= 2.0
+        nu[ok] = 2.0
+        u[ok] += s
+        sse[ok], coef[ok], design[ok], jac[ok], resid[ok] = trial
+    leave(np.ones(live.size, dtype=bool), False)
+    return out
 
 
 def fit_exponentials(
@@ -221,9 +276,9 @@ def fit_exponentials(
 
     Amplitudes (and, when ``init`` requests them, a power-law term and
     baseline) are solved linearly at fixed rates; rates are optimized by
-    Levenberg-Marquardt on the projected residual (``_levenberg_marquardt``)
-    in a log-gap parameterization that keeps them positive and strictly
-    increasing.  Multistart: ``restarts`` log-uniform rate ladders
+    Levenberg-Marquardt on the projected residual, all starts in lockstep
+    (``_levenberg_marquardt``), in a log-gap parameterization that keeps
+    them positive and strictly increasing.  Multistart: ``restarts`` log-uniform rate ladders
     spanning the data's time window, plus a nested start built from the
     (k-1)-term fit, all derived deterministically from ``seed``.  The fit
     is converged when a start that LM reports converged reached the
@@ -266,13 +321,12 @@ def fit_exponentials(
     args = (t[:, None], w[:, None], y * w,
             np.array(extra).reshape(len(extra), t.size).T * w[:, None])
     with np.errstate(over="ignore", invalid="ignore"):  # once, not per evaluation
-        results = [_levenberg_marquardt(u0, args) for u0 in starts]
-    finite = [res for res in results if res[1] is not None]
-    if not finite:
+        ends = _levenberg_marquardt(np.array(starts), args)
+    if not np.isfinite(ends.sse).any():
         raise NumericalError("no start of the fit has a finite objective")
-    u_best, best, _ = min(finite, key=lambda res: res[1].sse)
-    sse, coef, wd = best.sse, best.coef, best.design
-    rates = _rates_from_params(u_best)
+    best = int(np.argmin(ends.sse))
+    sse, coef, wd = float(ends.sse[best]), ends.coef[best], ends.design[best]
+    rates = _rates_from_params(ends.u[best])
     amps = coef[:k]
     power_amp = float(coef[k]) if with_power else 0.0
     baseline = float(coef[-1]) if with_baseline else 0.0
@@ -299,7 +353,7 @@ def fit_exponentials(
         max_rel_sigma = float("inf")
     ratios = rates[1:] / rates[:-1] if k > 1 else np.array([])
     ill_conditioned = cond > 1e8 or bool(np.any(ratios < 1.1)) or max_rel_sigma > 0.5
-    converged = any(ok and abs(ev.sse - sse) <= 1e-6 * sse for _, ev, ok in finite)
+    converged = bool(np.any(ends.converged & (np.abs(ends.sse - sse) <= 1e-6 * sse)))
     return FitResult(
         model=model,
         misfit=misfit,

@@ -18,8 +18,14 @@ reciprocity; `grid_illumination_coefficients` instead projects the loop's
 Biot-Savart normal field on a sphere quadrature grid (`angular_grid`,
 `project_scalar`), and `polygon_line_integral` redoes the line integral
 with a fine Gauss-Legendre rule in Cartesian components.
+
+The rate fit has one: `levenberg_marquardt_one` is the per-start
+Levenberg-Marquardt loop on `project_one`, a one-start variable
+projection, which `inversion._levenberg_marquardt` runs for a whole stack
+of starts in lockstep.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +42,7 @@ from temsphere.excitation import (
     pulse_history_integral,
     synthesize_voltage,
 )
+from temsphere.inversion import LM_MAX_EVALS, _Projection, _rates_from_params
 from temsphere.modes import Mode, ModeLibrary, sector_spectrum
 from temsphere.special import spherical_bessel_j, spherical_harmonic, vector_spherical_harmonic
 
@@ -360,3 +367,73 @@ def polygon_line_integral(l: int, m: int, loop: Loop, radius_m: float, order: in
         cart = xs[1] * e_theta + xs[2] * e_phi
         total += np.sum(0.5 * wts * (radius_m / r) ** (l + 1) * ((p2 - p1) @ cart))
     return complex(total)
+
+
+def project_one(u, t, w, wy, extra, below=math.inf):
+    """Variable-projection residual of one start at log-gap parameters ``u``,
+    or None: `inversion._project` for a single start, with the same rejections
+    (rate box, gap parameter below -20, SSE not below ``below``, a solve that
+    is singular or not finite)."""
+    rates = _rates_from_params(u)
+    if np.any(u[1:] < -20.0) or not (rates[0] >= 1e-12 and rates[-1] <= 1e12):
+        return None
+    k = u.size
+    design = np.concatenate((np.exp(t * -rates) * w, extra), axis=1)
+    q, r = np.linalg.qr(design)
+    qy = q.T @ wy
+    resid = wy - q @ qy
+    sse = float(resid @ resid)
+    if not sse < below:
+        return None
+    try:
+        coef = np.linalg.solve(r, qy)
+    except np.linalg.LinAlgError:
+        return None
+    dcol = (t * design[:, :k]) * (coef[:k] * -rates)
+    sigma = np.concatenate(([1.0], 1.0 / (1.0 + np.exp(-u[1:]))))
+    d = np.cumsum(dcol[:, ::-1], axis=1)[:, ::-1] * sigma
+    jac = q @ (q.T @ d) - d
+    if not (np.isfinite(coef).all() and np.isfinite(jac).all()):
+        return None
+    return _Projection(sse, coef, design, jac, resid)
+
+
+def levenberg_marquardt_one(u, args, record=None):
+    """One start's Levenberg-Marquardt loop on `project_one`: (u, evaluation,
+    converged), the evaluation None when ``u`` itself is rejected.
+
+    Nielsen damping, a 1e-8 step test and LM_MAX_EVALS, as
+    `inversion._levenberg_marquardt` applies them per row.  With a ``record``
+    list, each iteration appends ("converged", None), or ("accept" or
+    "reject", trial point), the trial point None when the step solve failed.
+    """
+    ev = project_one(u, *args)
+    if ev is None:
+        return u, None, False
+    eye = np.eye(u.size)
+    mu, nu = None, 2.0
+    for _ in range(LM_MAX_EVALS):
+        jtj, grad = ev.jac.T @ ev.jac, ev.jac.T @ ev.resid
+        if mu is None:
+            mu = 1e-2 * float(np.max(np.diag(jtj)))
+        try:
+            step = np.linalg.solve(jtj + mu * eye, -grad)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is not None and np.max(np.abs(step)) <= 1e-8:
+            if record is not None:
+                record.append(("converged", None))
+            return u, ev, True
+        trial = None if step is None else project_one(u + step, *args, ev.sse)
+        if record is not None:
+            record.append(("reject" if trial is None else "accept",
+                           None if step is None else u + step))
+        if trial is not None:
+            gain = (ev.sse - trial.sse) / float(step @ (mu * step - grad))
+            u, ev = u + step, trial
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    return u, ev, False

@@ -9,6 +9,8 @@ from temsphere import _io, inversion, pipeline
 from temsphere.inversion import DecayModel
 from temsphere.modes import NumericalError
 
+from oracles import levenberg_marquardt_one
+
 
 def noisy(values, rel, seed):
     rng = np.random.default_rng(seed)
@@ -144,8 +146,9 @@ class TestFiniteObjective:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"):  # as fit_exponentials calls it
-                assert inversion._project(near, *args) is None
-                assert inversion._project(np.array([800.0, 0.0]), *args) is None
+                for u in (near, np.array([800.0, 0.0])):  # one start per row
+                    rows, _ = inversion._project(u[None], *args, np.full(1, np.inf))
+                    assert rows.size == 0
 
 
 class TestKaufmanGradient:
@@ -160,15 +163,129 @@ class TestKaufmanGradient:
         y *= 1.0 + 0.01 * rng.standard_normal(t.size)
         args = _fit_args(t, y, 0.01, power)
         u = inversion._params_from_rates(np.array([20.0, 400.0, 2000.0]))
-        ev = inversion._project(u, *args)
-        grad = 2.0 * ev.jac.T @ ev.resid
         h = 1e-5
-        fd = np.array([
-            (inversion._project(u + h * e, *args).sse - inversion._project(u - h * e, *args).sse)
-            / (2.0 * h)
-            for e in np.eye(u.size)
-        ])
+        # one start per row: u, then u + h e_j, then u - h e_j
+        stack = np.vstack([u, u + h * np.eye(u.size), u - h * np.eye(u.size)])
+        rows, ev = inversion._project(stack, *args, np.full(len(stack), np.inf))
+        assert rows.tolist() == list(range(len(stack)))
+        grad = 2.0 * ev.jac[0].T @ ev.resid[0]
+        fd = (ev.sse[1:1 + u.size] - ev.sse[1 + u.size:]) / (2.0 * h)
         assert np.linalg.norm(grad - fd) <= 1e-7 * np.linalg.norm(grad)
+
+
+def _lockstep_levels(data, k, init, seed, noise_rel):
+    """The start stacks and arguments of every level of one fit, and the fit."""
+    levels = []
+    lm = inversion._levenberg_marquardt
+
+    def spy(u, args):
+        levels.append((u.copy(), args))
+        return lm(u, args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inversion, "_levenberg_marquardt", spy)
+        fit = ts.fit_exponentials(data, k, init=init, seed=seed, noise_rel=noise_rel)
+    return levels, fit
+
+
+def _lockstep_trials(u, args):
+    """Run the stacked pass from ``u``, recording the trial points of every
+    `_project` call and the rows it accepted."""
+    calls = []
+    project = inversion._project
+
+    def spy(points, *rest):
+        rows, ev = project(points, *rest)
+        calls.append((points.copy(), rows))
+        return rows, ev
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inversion, "_project", spy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = inversion._levenberg_marquardt(u, args)
+    return ends, calls
+
+
+def _assert_same_paths(u, args):
+    """Every start of the stack takes the per-start oracle's path: the same
+    first-point rejection, trial points, accept/reject decisions, iteration
+    of departure, converged flag, and rates within 1e-7 relative."""
+    records, results = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u0 in u:
+            records.append([])
+            results.append(levenberg_marquardt_one(u0, args, records[-1]))
+    ends, calls = _lockstep_trials(u, args)
+    evaluated = [s for s, (_, ev, _) in enumerate(results) if ev is not None]
+    assert calls[0][1].tolist() == evaluated
+    iteration = 0
+    while True:
+        # starts that try a step at this iteration, in stack order
+        trying = [s for s, rec in enumerate(records)
+                  if len(rec) > iteration and rec[iteration][0] != "converged"]
+        if not trying:
+            break
+        points, accepted = calls[iteration + 1]
+        assert len(points) == len(trying), f"iteration {iteration}"
+        for row, s in enumerate(trying):
+            kind, point = records[s][iteration]
+            assert (row in accepted) == (kind == "accept"), f"start {s}, iteration {iteration}"
+            if point is not None:
+                np.testing.assert_array_equal(points[row], point)
+        iteration += 1
+    assert len(calls) == iteration + 1
+    for s, (u_end, ev, converged) in enumerate(results):
+        assert ends.converged[s] == converged
+        if ev is None:
+            assert ends.sse[s] == np.inf
+            continue
+        np.testing.assert_allclose(inversion._rates_from_params(ends.u[s]),
+                                   inversion._rates_from_params(u_end), rtol=1e-7)
+
+
+class TestLockstep:
+    # k 1-3, with and without a t^(-1/2) term and a baseline, 1-2% noise, 60 gates
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("power, baseline", [(False, False), (True, False),
+                                                 (False, True), (True, True)])
+    def test_matches_per_start_oracle(self, k, power, baseline):
+        rng = np.random.default_rng([k, power, baseline])
+        rates = 50.0 * np.cumprod([1.0] + [10.0] * (k - 1))
+        amps = rng.uniform(0.5, 2.0, size=k)
+        t = np.geomspace(0.1 / rates[-1], 8.0 / rates[0], 60)
+        y = np.exp(-np.outer(t, rates)) @ amps
+        if power:
+            y += 0.1 * amps.sum() * np.sqrt(t[0] / t)
+        if baseline:
+            y += 0.01 * amps.sum()
+        noise = rng.uniform(0.01, 0.02)
+        y *= 1.0 + noise * rng.standard_normal(t.size)
+        init = (DecayModel(power_amplitude=1.0 if power else 0.0, baseline=1.0 if baseline else 0.0)
+                if power or baseline else None)
+        levels, fit = _lockstep_levels(ts.TimeSeries(t, y), k, init, int(rng.integers(2**31)), noise)
+        assert len(levels) == k  # the nested (k-1)-term fits are levels too
+        for u, args in levels:
+            _assert_same_paths(u, args)
+
+    def test_singular_system_gives_nan_row(self):
+        a = np.array([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+        x = inversion._solve(a, np.ones((3, 2)))
+        np.testing.assert_array_equal(x[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
+        assert np.isnan(x[1]).all()
+
+    def test_start_rejected_at_its_first_point(self):
+        t = np.geomspace(1e-3, 1.0, 60)
+        y = 2.0 * np.exp(-3.0 * t) * (1.0 + 0.01 * np.random.default_rng(1).standard_normal(t.size))
+        args = _fit_args(t, y, 0.01, power=False)
+        # the middle start's rate, 1e13 /s, lies outside the rate box
+        u = np.log(np.array([[0.5], [1e13], [30.0]]))
+        _assert_same_paths(u, args)
+        ends, calls = _lockstep_trials(u, args)
+        assert calls[0][1].tolist() == [0, 2]
+        assert ends.sse[1] == np.inf and not ends.converged[1]
+        np.testing.assert_array_equal(ends.u[1], u[1])
+        assert ends.converged[[0, 2]].all()
+        np.testing.assert_allclose(inversion._rates_from_params(ends.u[[0, 2]]), 3.0, rtol=1e-2)
 
 
 def _excluded_strata_draws(count):
@@ -211,15 +328,20 @@ class TestConvergedFlag:
     def fit_with(monkeypatch, rewrite):
         """One-term fit whose per-start LM results pass through ``rewrite``.
 
-        ``rewrite(index, (u, evaluation, converged))`` returns the result the
-        fit sees; the LM's own results are returned alongside the fit.
+        The stacked pass returns one row per start; ``rewrite(index, (u, sse,
+        converged))`` returns the row the fit sees.  The LM's own rows are
+        returned alongside the fit.
         """
         starts = []
         lm = inversion._levenberg_marquardt
 
         def spy(u, args):
-            starts.append(lm(u, args))
-            return rewrite(len(starts) - 1, starts[-1])
+            ends = lm(u, args)
+            starts.extend(zip(ends.u, ends.sse, ends.converged))
+            seen = [rewrite(i, row) for i, row in enumerate(starts)]
+            return ends._replace(u=np.array([row[0] for row in seen]),
+                                 sse=np.array([row[1] for row in seen]),
+                                 converged=np.array([row[2] for row in seen]))
 
         monkeypatch.setattr(inversion, "_levenberg_marquardt", spy)
         rng = np.random.default_rng(0)
@@ -228,16 +350,16 @@ class TestConvergedFlag:
         values = 2.0 * np.exp(-rate * t) * (1.0 + 0.01 * rng.standard_normal(t.size))
         fit = ts.fit_exponentials(ts.TimeSeries(times_s=t, values=values), k=1, seed=0)
         # every start converges to the same minimum on its own
-        best = min(ev.sse for _, ev, _ in starts)
+        best = min(sse for _, sse, _ in starts)
         assert len(starts) == 8
-        assert all(ok and ev.sse <= best * (1.0 + 1e-9) for _, ev, ok in starts)
+        assert all(ok and sse <= best * (1.0 + 1e-9) for _, sse, ok in starts)
         return fit, rate
 
     def test_lowest_start_unconverged_still_converged(self, monkeypatch):
         def rewrite(index, result):
-            u, ev, ok = result
+            u, sse, ok = result
             if index == 3:  # the lowest start, and the only unconverged one
-                return u, ev._replace(sse=ev.sse * (1.0 - 1e-9)), False
+                return u, sse * (1.0 - 1e-9), False
             return result
 
         fit, rate = self.fit_with(monkeypatch, rewrite)
@@ -253,10 +375,10 @@ class TestConvergedFlag:
         self, monkeypatch, above, converged
     ):
         def rewrite(index, result):
-            u, ev, _ = result
+            u, sse, _ = result
             if index == 0:
-                return u, ev._replace(sse=ev.sse * (1.0 + above)), True
-            return u, ev, False
+                return u, sse * (1.0 + above), True
+            return u, sse, False
 
         fit, _ = self.fit_with(monkeypatch, rewrite)
         assert fit.converged is converged

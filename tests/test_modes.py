@@ -159,14 +159,26 @@ class TestRadialFdOracle:
         rates = np.array([m.decay_rate_per_s for m in modes])
         assert np.max(np.abs(fd - rates) / rates) < 5e-3
 
-    def test_richardson_second_order(self, aluminum_sphere):
-        exact = np.pi**2 * ts.diffusivity(aluminum_sphere.material) / 0.05**2
+    def test_richardson_second_order(self):
+        # one plain grid: (k a)^2 of the nonmagnetic l = 1 fundamental is pi^2
+        exact = np.pi**2
         err = []
         for n in (500, 1000, 2000):
-            fd = ts.radial_fd_decay_rates(aluminum_sphere, 1.0, 1, n, count=1)
-            err.append(abs(fd[0] - exact) / exact)
+            k2 = modes_mod._fd_eigenvalues(1, 1.0, n, 1)
+            err.append(abs(k2[0] - exact) / exact)
         assert err[0] / err[1] == pytest.approx(4.0, rel=0.25)
         assert err[1] / err[2] == pytest.approx(4.0, rel=0.25)
+
+    @pytest.mark.parametrize("mu_ratio", [0.2, 1.0, 3.0, 60.0, 137.0, 300.0])
+    def test_extrapolation_within_1e_8_of_the_roots(self, mu_ratio):
+        # N = 2000 extrapolates the 250- and 500-point grids; one plain
+        # 2,000-point grid is off by up to 2.4e-6 on these 36 sectors
+        background = max(1.0, 1.0 / mu_ratio)
+        target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8, mu_ratio * background))
+        for l in range(1, 7):
+            rates = ts.find_decay_rates(target, background, l=l, count=3).rates
+            fd = ts.radial_fd_decay_rates(target, background, l, 2000, count=3)
+            assert np.max(np.abs(fd / rates - 1.0)) <= 1e-8
 
     def test_ascending(self, steel_sphere):
         fd = ts.radial_fd_decay_rates(steel_sphere, 1.0, 2, 500, count=8)
@@ -178,7 +190,7 @@ class TestRadialFdOracle:
         small, large = (ts.TargetSpec(a, aluminum) for a in (0.02, 0.1))
         fd_small = ts.radial_fd_decay_rates(small, 1.0, 2, 500, count=4)
         fd_large = ts.radial_fd_decay_rates(large, 1.0, 2, 500, count=4)
-        assert modes_mod._fd_eigenvalues.cache_info().misses == 1
+        assert modes_mod._fd_eigenvalues.cache_info().misses == 2  # one per grid
         np.testing.assert_allclose(fd_small * 0.02**2, fd_large * 0.1**2, rtol=1e-15)
 
     def test_grid_validation(self, aluminum_sphere):
@@ -373,6 +385,41 @@ class TestOnePassLibrary:
                 for name in ("x", "rate", "norm"):
                     got = getattr(lib.columns, name)[sector]
                     assert np.array_equal(got, getattr(alone, name)), (mu_ratio, max_l, count, l)
+
+
+class TestBracketScan:
+    @pytest.mark.parametrize("l", range(1, 13))
+    def test_residual_positive_at_the_start_point(self, l):
+        # F(1e-9) = x^l (l + 1 + l mu) / (2l + 1)!! > 0 for every mu > 0, far above underflow
+        mu = np.geomspace(0.05, 1000.0, 9)
+        dfact = np.prod(np.arange(1, 2 * l + 2, 2, dtype=float))
+        f = np.array([_eigencondition_fdf(l, m, np.array([1e-9]))[0][0] for m in mu])
+        np.testing.assert_allclose(f, 1e-9**l * (l + 1 + l * mu) / dfact, rtol=1e-14)
+
+    def test_start_point_takes_no_bessel_series(self, empty_spectra, monkeypatch):
+        lows, series = [], special._bessel_series
+
+        def spy(l, x):
+            lows.append(float(np.min(x)))
+            return series(l, x)
+
+        monkeypatch.setattr(special, "_bessel_series", spy)
+        target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8, 60.0))
+        built = ts.build_mode_library(target, 1.0, 6, 100).columns
+        assert not any(low <= 1e-9 for low in lows)
+
+        # the scan as it was, one sector at a time, with the residual at the
+        # start point computed: the same roots bit for bit (rate and norm are
+        # functions of the root)
+        for l in range(1, 7):
+            ladder = special._bessel_zero_ladder(l, 102)
+            pts = np.sort(np.concatenate([[1e-9], ladder[l - 1][:102], ladder[l][:102]]))
+            res = _eigencondition_fdf(l, 60.0, pts)[0]
+            flips = np.nonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0)[0]
+            roots = np.sort(special._refine_roots(
+                lambda x, l=l: _eigencondition_fdf(l, 60.0, x), pts[flips], pts[flips + 1],
+                res[flips]))
+            assert np.array_equal(built.x[built.l == l], roots[roots > 1e-8][:100]), l
 
 
 class TestSpectrumCache:
