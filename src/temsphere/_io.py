@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import EnvironmentSpec, MaterialSpec, ParameterError, TargetSpec
+from .core import EnvironmentSpec, MaterialSpec, ParameterError, TargetSpec, diffusivity
 from .excitation import Loop, PulseWaveform, TimeSeries, UniformField
 from .pipeline import RunConfig
 
@@ -133,6 +133,23 @@ def _material(d: dict, prefix: str) -> MaterialSpec:
     return MaterialSpec(conductivity_s_per_m=1.0 / rho, relative_permeability=mu)
 
 
+def _check_time_scales(target: TargetSpec, env: EnvironmentSpec) -> None:
+    """Raise ConfigError unless tau_c = a^2/D_c is finite and > 0 and
+    tau_b = R^2/D_b is finite, as `core.characteristic_times` computes them."""
+    scales = (("target", "target.radius_m", "tau_c", target.radius_m, target.material, 0.0),
+              ("background", "standoff_m", "tau_b", env.standoff_m, env.background, -math.inf))
+    for section, length_path, name, length, material, lo in scales:
+        d = diffusivity(material)
+        if d == 0.0:
+            raise ConfigError(section, "diffusivity 1/(mu_0 mu_r sigma) underflows to 0")
+        try:
+            tau = length**2 / d
+        except OverflowError:
+            tau = math.inf
+        if not lo < tau < math.inf:
+            raise ConfigError(length_path, f"{name} = {length_path}^2/D is outside float range")
+
+
 def _loop(d: dict, prefix: str) -> Loop:
     kind = _get(d, f"{prefix}.kind", required=False, default="circular")
     if kind not in ("circular", "polygon"):
@@ -171,6 +188,7 @@ def parse_config(data: dict) -> RunConfig:
         background=_material(data, "background"),
         standoff_m=_number(data, "standoff_m", positive=True),
     )
+    _check_time_scales(target, env)
     ramp = _get(data, "pulse.ramp", required=False, default="step")
     t0 = _number(data, "pulse.t0_s", required=False, default=0.0)
     table = _rows(_get(data, "pulse.table", required=False, default=()), "pulse.table", 2)

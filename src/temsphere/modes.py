@@ -24,25 +24,24 @@ Modes are normalized against the weight mu_0 sigma, i.e.
 so that excitation amplitudes carry a bare mu_0 and the receiver-voltage
 formula needs no further constants.
 
-A library is built in one pass over the sectors that the spectrum cache
-lacks (`_wavenumbers`): one Bessel-zero ladder request for the highest
-sector, one bracket scan, one bracketed-Newton loop in which every root
-carries its own l, then the residual gate and the Lommel norms.  Every
-Bessel value comes from `special._bessel_neighbours`, which takes j_(l-1),
-j_l and j_(l+1) from one sin/cos and one upward recurrence.  Those values
-equal `spherical_bessel_j` bit for bit wherever it uses a closed form
+A library is built in one pass over its sectors (`_library`): one
+Bessel-zero ladder request for the highest sector, one bracket scan, one
+bracketed-Newton loop in which every root carries its own l, then the
+residual gate, the Lommel norms, the rates and one sort.  Every Bessel value
+comes from `special._bessel_neighbours`, which takes j_(l-1), j_l and
+j_(l+1) from one sin/cos and one upward recurrence.  Those values equal
+`spherical_bessel_j` bit for bit wherever it uses a closed form
 (order <= 2) or the upward recurrence (x >= order); below that its power
 series and downward recurrence depend on the array they run on, so the
 kernel hands it the same per-sector arrays a one-sector build would.  Each
-sector of a library therefore equals that sector built alone, bit for bit,
-and a one-sector build is the same pass over one sector.
+sector of a library therefore equals that sector built alone, bit for bit.
+The 32 most recently built libraries are held, read-only, per (target,
+background mu_r, sectors, count); a repeated build returns the held one.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -125,14 +124,6 @@ class ModeLibrary:
         lib._set(target, background_mu_r, columns, max_l, max_n)
         return lib
 
-    @classmethod
-    def _of(cls, target, background_mu_r, columns: ModeColumns, max_l, max_n) -> "ModeLibrary":
-        """Library over ``columns`` as given: arrays of the column dtypes,
-        already checked and owned by no one else."""
-        lib = cls.__new__(cls)
-        lib._adopt(target, background_mu_r, columns, max_l, max_n)
-        return lib
-
     def _set(self, target, background_mu_r, columns, max_l, max_n) -> None:
         cols = ModeColumns(*(np.array(c, dtype=t) for c, t in zip(columns, _COLUMN_DTYPES)))
         if any(c.ndim != 1 or c.size != cols.l.size for c in cols):
@@ -143,15 +134,14 @@ class ModeLibrary:
             raise ParameterError("modes require l >= 1 and n >= 1")
         if not ((cols.x > 0).all() and (cols.rate > 0).all()):
             raise ParameterError("mode wavenumbers and rates must be > 0")
+        if not all(np.isfinite(c).all() for c in (cols.x, cols.rate, cols.norm)):
+            raise ParameterError("mode wavenumbers, rates and norms must be finite")
         if (np.diff(cols.rate) < 0).any():
             raise ParameterError("mode library must be sorted by decay rate")
-        self._adopt(target, background_mu_r, cols, max_l, max_n)
-
-    def _adopt(self, target, background_mu_r, columns, max_l, max_n) -> None:
-        for col in columns:
+        for col in cols:
             col.flags.writeable = False
         self.__dict__.update(
-            target=target, background_mu_r=background_mu_r, columns=columns, max_l=max_l, max_n=max_n
+            target=target, background_mu_r=background_mu_r, columns=cols, max_l=max_l, max_n=max_n
         )
 
     def __setattr__(self, name, value):
@@ -247,7 +237,7 @@ class ModeLibrary:
     def save(self, path) -> None:
         from ._io import atomic_write_text
 
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=1) + "\n")
+        atomic_write_text(path, json.dumps(self.to_dict(), indent=1, allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path) -> "ModeLibrary":
@@ -305,11 +295,11 @@ def _residual_ok(l, x: np.ndarray, mu_ratio: float) -> np.ndarray:
     return np.abs(f) <= np.maximum(1e-12 * scale, floor)
 
 
-def _wavenumbers(ls, mu_ratio: float, count: int) -> tuple:
-    """First ``count`` eigen-wavenumbers of every sector in ``ls``, in one pass.
+def _wavenumbers(ls, mu_ratio: float, count: int) -> np.ndarray:
+    """First ``count`` eigen-wavenumbers of every sector in ``ls``, in one pass,
+    sector after sector.
 
-    Returns (l, x): x sector after sector, and l per root, an int when
-    ``ls`` holds one sector.  Brackets come from the merged zeros of
+    Brackets come from the merged zeros of
     j_(l-1) and j_l (one `_bessel_zero_ladder` call, held for the life of
     the process): on each open subinterval both Bessel terms keep a fixed
     sign, so a sign change of the residual at the endpoints brackets exactly
@@ -321,9 +311,6 @@ def _wavenumbers(ls, mu_ratio: float, count: int) -> tuple:
     """
     extra = count + 2
     ladder = _bessel_zero_ladder(max(ls) - (mu_ratio == 1.0), extra)
-
-    def degree(column):  # one sector keeps l an int: scalar arithmetic, no selection
-        return column if len(ls) > 1 else ls[0]
 
     if mu_ratio == 1.0:
         # the condition reduces to x j_(l-1)(x) = 0
@@ -338,13 +325,13 @@ def _wavenumbers(ls, mu_ratio: float, count: int) -> tuple:
         inner = np.ones(xp.size, dtype=bool)
         inner[np.cumsum(sizes) - sizes] = False
         res = np.ones(xp.size)
-        res[inner] = _eigencondition_fdf(degree(lp[inner]), mu_ratio, xp[inner])[0]
+        res[inner] = _eigencondition_fdf(lp[inner], mu_ratio, xp[inner])[0]
         sign = np.sign(res)
         flips = np.nonzero((sign[:-1] * sign[1:] < 0) & (lp[:-1] == lp[1:]))[0]
         lr = lp[flips]
         found = _refine_roots(
-            lambda x, l=ls[0]: _eigencondition_fdf(l, mu_ratio, x),
-            xp[flips], xp[flips + 1], res[flips], labels=lr if len(ls) > 1 else None,
+            lambda x, l: _eigencondition_fdf(l, mu_ratio, x),
+            xp[flips], xp[flips + 1], res[flips], labels=lr,
         )
         roots = []
         for l in ls:
@@ -353,15 +340,10 @@ def _wavenumbers(ls, mu_ratio: float, count: int) -> tuple:
     for l, r in zip(ls, roots):
         if r.size < count:
             raise NumericalError(f"found only {r.size} of {count} roots for l={l}")
-    lcol, xcol = degree(np.repeat(ls, count)), np.concatenate(roots)
-    if not np.all(_residual_ok(lcol, xcol, mu_ratio)):
+    xcol = np.concatenate(roots)
+    if not np.all(_residual_ok(np.repeat(ls, count), xcol, mu_ratio)):
         raise NumericalError("eigencondition residual above its rounding floor after polishing")
-    return lcol, xcol
-
-
-def _sector_wavenumbers(l: int, mu_ratio: float, count: int) -> np.ndarray:
-    """First ``count`` eigen-wavenumbers of sector l: `_wavenumbers` of one sector."""
-    return _wavenumbers((l,), mu_ratio, count)[1]
+    return xcol
 
 
 def _lommel(l, x):
@@ -373,104 +355,42 @@ def _lommel(l, x):
     return 0.5 * (jl * jl - jm * jp)
 
 
-# Sector spectra by (l, mu_c/mu_b): the longest wavenumber array computed so
-# far and its Lommel integrals, read-only, least recently used first.  Root
-# brackets, Newton iterations and Bessel values are all per element, so the
-# first n entries of a stored array equal a fresh n-root computation bit for
-# bit.  Bounded by the total number of wavenumbers held (x and J together:
-# about 2 MB).
-_SPECTRUM_CAP = 1 << 17
-_spectra: OrderedDict = OrderedDict()
-_spectra_size = 0  # wavenumbers held in _spectra
-_spectra_lock = threading.Lock()
-
-
-def sector_spectrum(l: int, mu_ratio: float, count: int) -> tuple:
-    """First ``count`` wavenumbers x_n of sector l and their Lommel integrals J(x_n).
-
-    Both arrays are read-only views into the process-wide spectrum cache.
-    """
-    key = (l, mu_ratio)
-    with _spectra_lock:
-        entry = _spectra.get(key)
-        if entry is not None and entry[0].size >= count:
-            _spectra.move_to_end(key)
-        else:
-            entry = None
-    if entry is None:
-        xs = _sector_wavenumbers(l, mu_ratio, count)
-        entry = _store_spectrum(key, xs, _lommel(l, xs))
-    return entry[0][:count], entry[1][:count]
-
-
-def _fill_spectra(ls, mu_ratio: float, count: int) -> None:
-    """Compute, in one `_wavenumbers` pass, the sectors of ``ls`` that the cache lacks."""
-    if count < 1:
-        return
-    with _spectra_lock:
-        lacking = [l for l in ls
-                   if (l, mu_ratio) not in _spectra or _spectra[(l, mu_ratio)][0].size < count]
-    if not lacking:
-        return
-    degree, xcol = _wavenumbers(lacking, mu_ratio, count)
-    radial = _lommel(degree, xcol)
-    for i, l in enumerate(lacking):
-        part = slice(i * count, (i + 1) * count)
-        _store_spectrum((l, mu_ratio), xcol[part].copy(), radial[part].copy())
-
-
-def _store_spectrum(key, xs, radial) -> tuple:
-    """Make (xs, radial) read-only and hold it, unless it alone exceeds the
-    cap or a longer entry is held; return it."""
-    global _spectra_size
-    entry = (xs, radial)
-    for arr in entry:
-        arr.flags.writeable = False
-    size = xs.size
-    with _spectra_lock:
-        old = _spectra.get(key)
-        if size > _SPECTRUM_CAP or (old is not None and old[0].size >= size):
-            return entry
-        _spectra.pop(key, None)
-        _spectra_size += size - (0 if old is None else old[0].size)
-        _spectra[key] = entry
-        while _spectra_size > _SPECTRUM_CAP:
-            _spectra_size -= _spectra.popitem(last=False)[1][0].size
-    return entry
-
-
-def normalization_constant(target: TargetSpec, l: int, x, radial=None) -> np.ndarray | float:
-    """Radial normalization N with mu_0 sigma_c N^2 a^3 J(x) = 1.
-
-    ``radial`` is J(x) when already known (see `sector_spectrum`);
-    otherwise it is computed by `_lommel`.
-    """
-    if radial is None:
-        radial = _lommel(l, x)
+def normalization_constant(target: TargetSpec, l: int, x) -> np.ndarray | float:
+    """Radial normalization N with mu_0 sigma_c N^2 a^3 J(x) = 1, J from `_lommel`."""
     sigma = target.material.conductivity_s_per_m
-    return 1.0 / np.sqrt(MU_0 * sigma * target.radius_m**3 * radial)
+    return 1.0 / np.sqrt(MU_0 * sigma * target.radius_m**3 * _lommel(l, x))
+
+
+@lru_cache(maxsize=32)
+def _library(target: TargetSpec, background_mu_r: float, ls: tuple, count: int) -> ModeLibrary:
+    """First ``count`` normalized modes of every sector in ``ls``, sorted by
+    rate, then l, then n.  The 32 most recently used libraries are held; a
+    build that raises (a rate or norm past the float range) is not."""
+    if count < 1 or min(ls, default=0) < 1:
+        raise ParameterError("count and sector degrees l must be >= 1")
+    mu_ratio = target.material.relative_permeability / background_mu_r
+    x = _wavenumbers(ls, mu_ratio, count)
+    l = np.repeat(ls, count)
+    a = target.radius_m
+    with np.errstate(over="ignore", divide="ignore"):
+        norm = normalization_constant(target, l, x)
+        rate = diffusivity(target.material) * x * x / (a * a)
+    if not (np.isfinite(rate).all() and np.isfinite(norm).all()):
+        raise ParameterError("mode decay rate or norm overflows: target radius, "
+                             "resistivity or mu_r out of range")
+    n = np.tile(np.arange(1, count + 1), len(ls))
+    order = np.lexsort((n, l, rate))
+    columns = ModeColumns(*(col[order] for col in (l, x, norm, rate, n)))
+    return ModeLibrary.from_columns(target, background_mu_r, columns, max(ls), count)
 
 
 def find_decay_rates(target: TargetSpec, background_mu_r: float, l: int, count: int) -> ModeLibrary:
     """First ``count`` normalized modes of sector l, ascending decay rate.
 
     Returned as a one-sector `ModeLibrary` (max_l = l, max_n = count), a
-    sequence of `Mode`.
+    sequence of `Mode`; held like `build_mode_library`.
     """
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    mu_ratio = target.material.relative_permeability / background_mu_r
-    xs, radial = sector_spectrum(l, mu_ratio, count)
-    d_c = diffusivity(target.material)
-    a = target.radius_m
-    columns = ModeColumns(
-        l=np.full(count, l),
-        x=xs,
-        norm=normalization_constant(target, l, xs, radial),
-        rate=d_c * xs * xs / (a * a),
-        n=np.arange(1, count + 1),
-    )
-    return ModeLibrary.from_columns(target, background_mu_r, columns, max_l=l, max_n=count)
+    return _library(target, background_mu_r, (l,), count)
 
 
 def radial_fd_decay_rates(
@@ -542,19 +462,9 @@ def build_mode_library(
 ) -> ModeLibrary:
     """Modes for all sectors l = 1..max_l, globally sorted by decay rate.
 
-    The sectors the spectrum cache lacks are computed in one pass
-    (`_fill_spectra`); each sector is then read by `find_decay_rates`, and
-    their validated columns are joined without a second check.  The m
-    degeneracy of the sphere is exact; modes are stored once with m = 0 and
-    reconstructed per m by the excitation machinery as needed.
+    All sectors are built in one pass (`_library`), and an equal build
+    (target, background mu_r, max_l, count_per_l) returns the held library,
+    bit-identical to a fresh one.  Modes are stored once with m = 0: the m
+    degeneracy of the sphere is exact and summed by the excitation.
     """
-    mu_ratio = target.material.relative_permeability / background_mu_r
-    _fill_spectra(range(1, max_l + 1), mu_ratio, count_per_l)
-    sectors = [
-        find_decay_rates(target, background_mu_r, l, count_per_l).columns
-        for l in range(1, max_l + 1)
-    ]
-    cols = ModeColumns(*map(np.concatenate, zip(*sectors)))
-    order = np.lexsort((cols.n, cols.l, cols.rate))  # by rate, then l, then n
-    columns = ModeColumns(*(col[order] for col in cols))
-    return ModeLibrary._of(target, background_mu_r, columns, max_l, count_per_l)
+    return _library(target, background_mu_r, tuple(range(1, max_l + 1)), count_per_l)

@@ -43,7 +43,7 @@ from temsphere.excitation import (
     synthesize_voltage,
 )
 from temsphere.inversion import LM_MAX_EVALS, _Projection, _rates_from_params
-from temsphere.modes import Mode, ModeLibrary, sector_spectrum
+from temsphere.modes import Mode, ModeLibrary, _wavenumbers
 from temsphere.special import spherical_bessel_j, spherical_harmonic, vector_spherical_harmonic
 
 
@@ -249,7 +249,7 @@ def crosscheck_amplitude(
     series = synthesize_voltage(library, coeffs, tau)
     y = series.values * np.sqrt(tau)
     count = max(CROSSCHECK_TEMPLATE_COUNT, 2 * len(library))
-    xs, _ = sector_spectrum(l, mu_ratio, count)
+    xs = _wavenumbers((l,), mu_ratio, count)
     h2 = l * (mu_ratio - 1.0) * (l * (mu_ratio - 1.0) + 2.0 * l + 1.0)
     v = xs * xs / (xs * xs + h2)
     template = np.sqrt(tau) * (np.exp(-np.outer(tau / tau_c, xs * xs)) @ v)

@@ -246,6 +246,39 @@ class TestNonFiniteInput:
         assert "--gates" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, where, changes", [
+        ("simulate", "standoff_m", {"standoff_m": 1e300}),
+        ("simulate", "target.radius_m", {"target.radius_m": 1e300}),
+        ("simulate", "target.radius_m", {"target.radius_m": 1e-300}),
+        ("simulate", "target", {"target.resistivity_ohm_m": 1e-300, "target.mu_r": 1e300}),
+        ("simulate", "background",
+         {"background.resistivity_ohm_m": 1e-300, "background.mu_r": 1e300}),
+        ("modes", "mode decay rate", {"target.resistivity_ohm_m": 1e300}),
+        ("simulate", "mode decay rate", {"target.resistivity_ohm_m": 1e300}),
+    ], ids=["far-standoff", "huge-radius", "tiny-radius", "target-d0", "background-d0",
+            "modes-rate", "simulate-rate"])
+    def test_time_scale_or_rate_out_of_float_range_exit_2(
+        self, tmp_path, sample_config_dict, capsys, command, where, changes
+    ):
+        # these used to exit 1 with OverflowError or ZeroDivisionError, exit 2
+        # naming no schema path, or write "lambda_per_s": Infinity
+        cfg = json.loads(json.dumps(sample_config_dict))
+        for path, value in changes.items():
+            *parents, leaf = path.split(".")
+            node = cfg
+            for key in parents:
+                node = node[key]
+            node[leaf] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--gates", "1e-6,1.0,20"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {where}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("row", ["inf,0.25", "nan,0.25", "4e-3,nan", "4e-3,-inf"])
     def test_data_row_exit_3(self, tmp_path, capsys, row):
         data = tmp_path / "data.csv"

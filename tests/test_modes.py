@@ -5,7 +5,7 @@ import os
 import pickle
 import sys
 import threading
-from collections import OrderedDict
+import warnings
 from functools import partial
 
 import numpy as np
@@ -18,12 +18,10 @@ from temsphere.core import MU_0, ParameterError
 from temsphere.modes import (
     NumericalError,
     _eigencondition_fdf,
-    _lommel,
     _residual_ok,
-    _sector_wavenumbers,
+    _wavenumbers,
     eigencondition,
     normalization_constant,
-    sector_spectrum,
 )
 from temsphere.special import spherical_bessel_j
 
@@ -112,7 +110,7 @@ class TestResidualGate:
     def test_one_bessel_pair_per_sector(self, monkeypatch):
         # the gate takes F and F' from the Newton pair: one j_(l-1), j_l
         # kernel call, and no `spherical_bessel_j` call for roots above x = l
-        roots = _sector_wavenumbers(2, 60.0, 50)
+        roots = _wavenumbers((2,), 60.0, 50)
         calls, kernel = [], special._bessel_neighbours
 
         def counted(l, x):
@@ -296,11 +294,13 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 @pytest.fixture
-def empty_spectra(monkeypatch):
-    """An empty spectrum cache for one test; the shared one is restored after."""
-    monkeypatch.setattr(modes_mod, "_spectra", OrderedDict())
-    monkeypatch.setattr(modes_mod, "_spectra_size", 0)
-    return modes_mod._spectra
+def cold_libraries():
+    """No held mode library before or after the test, so a test that patches
+    `modes` internals neither reads a library built without the patch nor
+    leaves one built with it."""
+    modes_mod._library.cache_clear()
+    yield modes_mod._library
+    modes_mod._library.cache_clear()
 
 
 @pytest.fixture
@@ -338,7 +338,7 @@ class TestHeldBesselZeros:
                     zeros[0] = 1.0
 
     def test_second_magnetic_library_refines_no_bessel_zero(
-        self, empty_ladder, empty_spectra, monkeypatch, steel
+        self, empty_ladder, cold_libraries, monkeypatch, steel
     ):
         refined, refine = [], special._refine_roots
 
@@ -362,24 +362,19 @@ class TestOnePassLibrary:
     CASES = ((1 / 300, 3, 40), (0.5, 2, 600), (1.0, 6, 100), (1.0, 1, 1), (1.5, 4, 7),
              (60.0, 6, 110), (60.0, 1, 600), (300.0, 6, 1), (300.0, 2, 250))
 
-    @staticmethod
-    def _cold(monkeypatch):
-        monkeypatch.setattr(modes_mod, "_spectra", OrderedDict())
-        monkeypatch.setattr(modes_mod, "_spectra_size", 0)
-
-    def test_sectors_equal_sectors_built_alone(self, monkeypatch):
-        # every sector of a one-pass library, on a cold spectrum cache, equals
-        # `find_decay_rates` of that sector alone on a cold cache, bit for bit
+    def test_sectors_equal_sectors_built_alone(self, cold_libraries):
+        # every sector of a one-pass library, built cold, equals
+        # `find_decay_rates` of that sector alone built cold, bit for bit
         rng = np.random.default_rng(29)
         drawn = [(float(np.exp(rng.uniform(-np.log(300), np.log(300)))),
                   int(rng.integers(1, 7)), int(rng.integers(1, 601))) for _ in range(6)]
         for mu_ratio, max_l, count in self.CASES + tuple(drawn):
             target = ts.TargetSpec(0.04, ts.MaterialSpec(1 / 2.8e-8, max(mu_ratio, 1.0)))
             mu_b = target.material.relative_permeability / mu_ratio
-            self._cold(monkeypatch)
+            cold_libraries.cache_clear()
             lib = ts.build_mode_library(target, mu_b, max_l, count)
             for l in range(1, max_l + 1):
-                self._cold(monkeypatch)
+                cold_libraries.cache_clear()
                 alone = ts.find_decay_rates(target, mu_b, l, count).columns
                 sector = lib.columns.l == l
                 for name in ("x", "rate", "norm"):
@@ -396,7 +391,7 @@ class TestBracketScan:
         f = np.array([_eigencondition_fdf(l, m, np.array([1e-9]))[0][0] for m in mu])
         np.testing.assert_allclose(f, 1e-9**l * (l + 1 + l * mu) / dfact, rtol=1e-14)
 
-    def test_start_point_takes_no_bessel_series(self, empty_spectra, monkeypatch):
+    def test_start_point_takes_no_bessel_series(self, cold_libraries, monkeypatch):
         lows, series = [], special._bessel_series
 
         def spy(l, x):
@@ -423,117 +418,83 @@ class TestBracketScan:
 
 
 class TestSpectrumCache:
-    def test_prefix_equals_fresh_computation(self, empty_spectra):
-        rng = np.random.default_rng(8)
-        for _ in range(12):
-            l = int(rng.integers(1, 7))
-            mu_ratio = 1.0 if rng.uniform() < 0.3 else float(np.exp(rng.uniform(0, np.log(300))))
-            count = int(rng.integers(1, 400))
-            sector_spectrum(l, mu_ratio, count + int(rng.integers(1, 400)))
-            xs, radial = sector_spectrum(l, mu_ratio, count)
-            fresh = _sector_wavenumbers(l, mu_ratio, count)
-            assert xs.tobytes() == fresh.tobytes(), (l, mu_ratio, count)
-            assert radial.tobytes() == _lommel(l, fresh).tobytes(), (l, mu_ratio, count)
+    """The held mode libraries (`modes._library`), the one cache of mode spectra."""
 
     @pytest.mark.parametrize(
         "path", sorted(glob.glob(os.path.join(GOLDEN_DIR, "*", "modes.json"))),
         ids=lambda p: os.path.basename(os.path.dirname(p)),
     )
-    def test_warm_and_cold_libraries_match_golden(
-        self, empty_spectra, empty_ladder, monkeypatch, path
-    ):
+    def test_warm_and_cold_libraries_match_golden(self, cold_libraries, empty_ladder, path):
         recorded = ts.ModeLibrary.load(path)
         args = (recorded.target, recorded.background_mu_r, recorded.max_l, recorded.max_n)
-        mu_ratio = recorded.target.material.relative_permeability / recorded.background_mu_r
         with open(path, encoding="utf-8") as fh:
             golden = fh.read()
-        cap = modes_mod._SPECTRUM_CAP
-        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 0)  # nothing is stored: every sector is cold
         cold = ts.build_mode_library(*args)  # from an empty Bessel-zero ladder
+        cold_libraries.cache_clear()
         special._bessel_zero_ladder(recorded.max_l + 3, 2 * recorded.max_n + 37)
         grown = ts.build_mode_library(*args)  # from a ladder held past the golden sizes
-        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", cap)
-        for l in range(1, recorded.max_l + 1):
-            sector_spectrum(l, mu_ratio, 2 * recorded.max_n + 37)
-        warm = ts.build_mode_library(*args)
+        warm = ts.build_mode_library(*args)  # the held library
+        assert warm is grown and warm is not cold
         for lib in (cold, grown, warm):
             assert json.dumps(lib.to_dict(), indent=1) + "\n" == golden
+        for col, other in zip(warm.columns, cold.columns):
+            assert col.dtype == other.dtype and col.tobytes() == other.tobytes()
 
-    def test_classify_rankings_identical_warm_and_cold(self, empty_spectra, monkeypatch,
-                                                       sample_config_dict):
-        candidates = []
-        for radius in (0.03, 0.05):
-            for mu_r in (1.0, 60.0):
-                cfg = json.loads(json.dumps(sample_config_dict))
-                cfg["target"].update(radius_m=radius, mu_r=mu_r)
-                cfg["options"]["max_n"] = 120
-                candidates.append((f"a{radius}-mu{mu_r}", _io.parse_config(cfg)))
-        gates = np.geomspace(1e-5, 1.0, 60)
-        data = ts.TimeSeries(gates, pipeline.forward_values(candidates[2][1], gates))
-        for mu_r in (1.0, 60.0):
-            sector_spectrum(1, mu_r, 500)
-        warm = inversion.classify_library(data, candidates, pipeline.forward_values)
-        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 0)
-        cold = inversion.classify_library(data, candidates, pipeline.forward_values)
-        assert warm.ranking == cold.ranking
-        assert warm.best == candidates[2][0]
+    def test_equal_builds_return_the_same_object(self, steel):
+        target = ts.TargetSpec(0.05, steel)
+        lib = ts.build_mode_library(target, 1.0, max_l=2, count_per_l=7)
+        twin = ts.TargetSpec(0.05, dataclasses.replace(steel))  # equal, not identical
+        assert ts.build_mode_library(twin, 1.0, max_l=2, count_per_l=7) is lib
+        sector = ts.find_decay_rates(target, 1.0, l=2, count=7)
+        assert ts.find_decay_rates(twin, 1.0, l=2, count=7) is sector
+        assert sector is not lib and ts.build_mode_library(target, 1.0, 2, 8) is not lib
 
-    def test_cached_arrays_are_read_only(self, empty_spectra, steel_sphere):
-        xs, radial = sector_spectrum(2, 200.0, 20)
-        for arr in (xs, radial, empty_spectra[(2, 200.0)][0]):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-        lib = ts.build_mode_library(steel_sphere, 1.0, max_l=2, count_per_l=5)
-        assert all(not col.flags.writeable for col in lib.columns)
-        assert lib.rates is lib.columns[3]
+    def test_cached_arrays_are_read_only(self, steel_sphere):
+        for lib in (ts.build_mode_library(steel_sphere, 1.0, max_l=2, count_per_l=5),
+                    ts.find_decay_rates(steel_sphere, 1.0, l=2, count=20)):
+            for col in lib.columns:
+                assert not col.flags.writeable
+                with pytest.raises(ValueError):
+                    col[0] = 1
+            assert lib.rates is lib.columns[3]
 
-    def test_shorter_request_served_from_stored_entry(self, empty_spectra, aluminum_sphere):
-        ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=50)
-        ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=10)
-        assert empty_spectra[(1, 1.0)][0].size == 50  # served from the stored entry
-        assert len(ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=3)) == 3
+    def test_holds_at_most_32_libraries(self, cold_libraries, aluminum_sphere):
+        libs = [ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=n) for n in range(1, 41)]
+        assert cold_libraries.cache_info().currsize == 32
+        assert ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=40) is libs[-1]
+        again = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1)  # evicted: rebuilt
+        assert again is not libs[0] and again.columns.x.tobytes() == libs[0].columns.x.tobytes()
 
-    def test_size_never_exceeds_cap(self, empty_spectra, monkeypatch):
-        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 100)
-        for mu_ratio in (2.0, 3.0):
-            sector_spectrum(1, mu_ratio, 40)
-        sector_spectrum(1, 2.0, 10)  # a hit: (1, 2.0) becomes most recently used
-        sector_spectrum(1, 4.0, 40)  # evicts (1, 3.0), the least recently used
-        assert list(empty_spectra) == [(1, 2.0), (1, 4.0)]
-        sector_spectrum(1, 2.0, 70)  # grows (1, 2.0) to 70, evicting (1, 4.0)
-        assert list(empty_spectra) == [(1, 2.0)]
-        xs, _ = sector_spectrum(1, 5.0, 150)  # larger than the cap: computed, not stored
-        assert xs.size == 150 and (1, 5.0) not in empty_spectra
-        assert modes_mod._spectra_size == 70
-        assert sum(x.size for x, _ in empty_spectra.values()) == 70
-
-    def test_failed_sector_is_not_stored(self, empty_spectra, monkeypatch, steel_sphere):
+    def test_failed_sector_is_not_stored(self, cold_libraries, monkeypatch, steel_sphere):
         monkeypatch.setattr(modes_mod, "_residual_ok", lambda l, x, mu: np.zeros(x.shape, bool))
         with pytest.raises(NumericalError):
             ts.find_decay_rates(steel_sphere, 1.0, l=1, count=5)
-        assert not empty_spectra and modes_mod._spectra_size == 0
+        with pytest.raises(NumericalError):
+            ts.build_mode_library(steel_sphere, 1.0, max_l=2, count_per_l=5)
+        assert cold_libraries.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert len(ts.find_decay_rates(steel_sphere, 1.0, l=1, count=5)) == 5
 
-    def test_threads_keep_size_and_prefixes_consistent(self, empty_spectra, monkeypatch):
-        # cheap stand-in spectra under a small cap: nearly every call stores
-        # and evicts, so an unlocked update of the cache would show
-        def fake(l, mu_ratio, count):
-            return np.arange(1.0, count + 1) + 100 * l + mu_ratio
-
-        monkeypatch.setattr(modes_mod, "_sector_wavenumbers", fake)
-        monkeypatch.setattr(modes_mod, "_lommel", lambda l, x: -x)
-        monkeypatch.setattr(modes_mod, "_SPECTRUM_CAP", 12)
-        keys = [(l, float(mu)) for l in (1, 2) for mu in range(1, 13)]
+    def test_threads_get_bit_equal_columns(self, cold_libraries, steel):
+        # 40 keys under a bound of 32: threads build, hit and evict at once
+        keys = [(ts.TargetSpec(0.05, dataclasses.replace(steel, relative_permeability=mu)),
+                 max_l, count)
+                for mu in (1.0, 7.0, 60.0, 300.0) for max_l in (1, 2) for count in range(1, 6)]
+        reference = {}
+        for key in keys:
+            cold_libraries.cache_clear()
+            lib = ts.build_mode_library(key[0], 1.0, *key[1:])
+            reference[key] = b"".join(col.tobytes() for col in lib.columns)
+        cold_libraries.cache_clear()
         errors = []
 
         def work(seed):
             rng = np.random.default_rng(seed)
-            for _ in range(8000):
+            for _ in range(300):
                 key = keys[rng.integers(len(keys))]
-                count = int(rng.integers(1, 7))
-                xs, radial = sector_spectrum(*key, count)
-                if not (np.array_equal(xs, fake(*key, count)) and np.array_equal(radial, -xs)):
-                    errors.append((key, count))
+                lib = ts.build_mode_library(key[0], 1.0, *key[1:])
+                if b"".join(col.tobytes() for col in lib.columns) != reference[key]:
+                    errors.append(key)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -547,7 +508,25 @@ class TestSpectrumCache:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert not errors
-        assert modes_mod._spectra_size == sum(x.size for x, _ in empty_spectra.values()) <= 12
+        assert cold_libraries.cache_info().currsize <= 32
+
+    def test_classify_rankings_identical_warm_and_cold(self, cold_libraries, sample_config_dict):
+        candidates = []
+        for radius in (0.03, 0.05):
+            for mu_r in (1.0, 60.0):
+                cfg = json.loads(json.dumps(sample_config_dict))
+                cfg["target"].update(radius_m=radius, mu_r=mu_r)
+                cfg["options"]["max_n"] = 120
+                candidates.append((f"a{radius}-mu{mu_r}", _io.parse_config(cfg)))
+        gates = np.geomspace(1e-5, 1.0, 60)
+        data = ts.TimeSeries(gates, pipeline.forward_values(candidates[2][1], gates))
+        cold_libraries.cache_clear()
+        cold = inversion.classify_library(data, candidates, pipeline.forward_values)
+        hits = cold_libraries.cache_info().hits
+        warm = inversion.classify_library(data, candidates, pipeline.forward_values)
+        assert cold_libraries.cache_info().hits == hits + len(candidates)
+        assert warm.ranking == cold.ranking
+        assert warm.best == candidates[2][0]
 
 
 class TestColumnLibrary:
@@ -564,7 +543,8 @@ class TestColumnLibrary:
         assert len(lib) == len(twin) == 60
         assert list(lib) == list(twin.modes) and lib[7] == twin[7]
 
-    def test_sector_slice_builds_only_what_is_read(self, steel_sphere, monkeypatch):
+    def test_sector_slice_builds_only_what_is_read(self, steel_sphere, cold_libraries,
+                                                   monkeypatch):
         lib = ts.build_mode_library(steel_sphere, 1.0, max_l=2, count_per_l=300)
         built, post_init = [], modes_mod.Mode.__post_init__
 
@@ -590,7 +570,8 @@ class TestColumnLibrary:
         assert (first.n, last.n, first.m, first.radius_m) == (1, 6, 0, steel_sphere.radius_m)
 
     @pytest.mark.parametrize("column, value", [
-        ("l", 0), ("n", 0), ("x", 0.0), ("x", np.nan), ("rate", -1.0), ("rate", np.nan)])
+        ("l", 0), ("n", 0), ("x", 0.0), ("x", np.nan), ("rate", -1.0), ("rate", np.nan),
+        ("x", np.inf), ("rate", np.inf), ("norm", np.inf), ("norm", np.nan)])
     def test_invalid_column_rejected(self, steel_sphere, column, value):
         cols = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=4).columns
         bad = np.array(getattr(cols, column))
@@ -598,6 +579,27 @@ class TestColumnLibrary:
         with pytest.raises(ParameterError):
             ts.ModeLibrary.from_columns(
                 steel_sphere, 1.0, cols._replace(**{column: bad}), max_l=1, max_n=4)
+
+    def test_overflowing_rate_raises_without_warning(self, cold_libraries):
+        # resistivity 1e300: D_c x^2 / a^2 overflows, where it used to give
+        # rates of inf and "lambda_per_s": Infinity in modes.json
+        target = ts.TargetSpec(0.05, ts.MaterialSpec(1e-300, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="decay rate"):
+                ts.build_mode_library(target, 1.0, max_l=2, count_per_l=5)
+            with pytest.raises(ParameterError, match="decay rate"):
+                ts.find_decay_rates(target, 1.0, l=1, count=5)
+        assert cold_libraries.cache_info().currsize == 0
+
+    def test_save_writes_no_infinity(self, steel_sphere, tmp_path, monkeypatch):
+        lib = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=3)
+        data = lib.to_dict()
+        data["modes"][-1]["lambda_per_s"] = np.inf
+        monkeypatch.setattr(ts.ModeLibrary, "to_dict", lambda self: data)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            lib.save(tmp_path / "modes.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unsorted_and_ragged_columns_rejected(self, steel_sphere):
         cols = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=4).columns

@@ -17,7 +17,7 @@ import pytest
 
 import temsphere as ts
 from temsphere.core import MU_0
-from temsphere.modes import _sector_wavenumbers
+from temsphere.modes import _wavenumbers
 from temsphere.special import _bessel_zero_ladder
 
 MU_RATIOS = (1.0, 1.1, 1.57, 3.0, 60.0, 178.0, 300.0)
@@ -50,7 +50,7 @@ def test_sector_roots_within_one_ulp(mu_ratio):
     worst = []
     for l in range(1, 9):
         ns = _draws(rng)
-        xs = _sector_wavenumbers(l, mu_ratio, int(ns[-1]))
+        xs = _wavenumbers((l,), mu_ratio, int(ns[-1]))
         for n in ns:
             x = float(xs[n - 1])
             worst.append((_ulps(x, _eigen_root(l, mu_ratio, x)), l, int(n), x))
@@ -61,7 +61,7 @@ def test_sector_roots_within_one_ulp(mu_ratio):
 def test_near_tie_golden_root_within_one_ulp():
     # polygon-step-l4-mu60, l=4, n=7: the true root sits 0.49 ulp from one
     # float and 0.51 ulp from the next, so either is acceptable
-    x = float(_sector_wavenumbers(4, 60.0, 7)[6])
+    x = float(_wavenumbers((4,), 60.0, 7)[6])
     assert x == pytest.approx(27.80024262738167, abs=1e-14)
     assert _ulps(x, _eigen_root(4, 60.0, x)) <= 1.0
 
