@@ -134,9 +134,16 @@ def _material(d: dict, prefix: str) -> MaterialSpec:
 
 
 def _check_time_scales(target: TargetSpec, env: EnvironmentSpec) -> None:
-    """Raise ConfigError unless tau_c = a^2/D_c is finite and > 0 and
-    tau_b = R^2/D_b is finite, as `core.characteristic_times` computes them."""
-    scales = (("target", "target.radius_m", "tau_c", target.radius_m, target.material, 0.0),
+    """Raise ConfigError unless tau_c = a^2/D_c is finite and > 0,
+    tau_b = R^2/D_b is finite, as `core.characteristic_times` computes them,
+    and the a^3 of the mode norms and voltages is finite and > 0."""
+    try:
+        cube = target.radius_m**3
+    except OverflowError:
+        cube = math.inf
+    if not 0.0 < cube < math.inf:
+        raise ConfigError("target.radius_m", "target.radius_m^3 is outside float range")
+    scales =(("target", "target.radius_m", "tau_c", target.radius_m, target.material, 0.0),
               ("background", "standoff_m", "tau_b", env.standoff_m, env.background, -math.inf))
     for section, length_path, name, length, material, lo in scales:
         d = diffusivity(material)

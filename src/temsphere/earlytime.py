@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ParameterError, ScaleSystem, TargetSpec, TimeMarkers, scales_for
-from .excitation import Loop, TimeSeries, UniformField, transmitter_line_integrals
+from .excitation import Loop, TimeSeries, UniformField, line_integrals
 from .special import (
     erfc,
     spherical_harmonic,
@@ -133,17 +133,15 @@ def illumination_coefficients(
     max_l: int,
     scales: ScaleSystem | None = None,
     source_current_a: float = 1.0,
-    line_integrals: dict | None = None,
 ) -> PotentialExpansion:
     """Expansion of the transmitter's static potential about the target center.
 
     A UniformField is a pure dipole.  By reciprocity a Loop's coefficients
     are d_lm = -i I sqrt(l(l+1)) conj(L_lm) / (l (2l+1) a), with L_lm its
-    `exterior_multipole_line_integral`; a circular loop keeps (l, 0), a
-    polygon every (l, m), for 1 <= l <= max_l.  ``line_integrals`` is that
-    `transmitter_line_integrals` table when already evaluated.  Coefficients
-    are internal (per H_0 a); ``scales`` defaults to the target's own scale
-    system with H_0 = 1 A/m.
+    `excitation.line_integrals` from one call; a circular loop keeps (l, 0),
+    a polygon every (l, m), for 1 <= l <= max_l.  Coefficients are internal
+    (per H_0 a); ``scales`` defaults to the target's own scale system with
+    H_0 = 1 A/m.
     """
     if scales is None:
         scales = scales_for(target)
@@ -155,16 +153,16 @@ def illumination_coefficients(
         return exp
     if not isinstance(source, Loop):
         raise ParameterError("source must be a UniformField or a Loop")
-    if line_integrals is None:
-        line_integrals = transmitter_line_integrals(target, source, max_l)
     a = target.radius_m
+    keys = [(l, m) for l in range(1, max_l + 1)
+            for m in ((0,) if source.kind == "circular" else range(-l, l + 1))]
     exp.growing = {
         (l, m): complex(
             -1j * source_current_a * np.sqrt(l * (l + 1.0))
             * np.conj(integral)
             / (l * (2 * l + 1) * a * pot_scale)
         )
-        for (l, m), integral in line_integrals.items()
+        for (l, m), integral in line_integrals(source, a, keys).items()
     }
     return exp
 
@@ -422,17 +420,12 @@ def run_early_pipeline(
     max_l: int,
     scales: ScaleSystem | None = None,
     source_current_a: float = 1.0,
-    line_integrals: dict | None = None,
 ) -> EarlyPipeline:
-    """Run illumination -> static response -> quench -> sheet -> correction.
-
-    ``line_integrals`` goes to `illumination_coefficients`.
-    """
+    """Run illumination -> static response -> quench -> sheet -> correction."""
     mu_c = target.material.relative_permeability
     mu_b = background_mu_r
     ill = illumination_coefficients(
-        source, target, max_l, scales=scales, source_current_a=source_current_a,
-        line_integrals=line_integrals,
+        source, target, max_l, scales=scales, source_current_a=source_current_a
     )
     static = static_sphere_response(ill, mu_c, mu_b)
     phi0 = solve_exterior_neumann(interior_normal_h(static), mu_c, mu_b)

@@ -10,8 +10,9 @@ line integral:
     V_n = lambda_n N_R A_n N j_l(x_n) L_rx,lm,
     I_n = int_-inf^t0 I(t') exp(-lambda_n (t0 - t')) dt',
 
-with L_lm the `exterior_multipole_line_integral` of the loop and the
-stored m = 0 mode standing for its 2l+1 degenerate partners.  The mu_0-sigma
+with L_lm the loop's exterior-multipole line integral (`line_integrals`,
+every (l, m) of a loop from one call) and the stored m = 0 mode standing
+for its 2l+1 degenerate partners.  The mu_0-sigma
 normalization at a root of the eigencondition gives
 mu_0 sigma a^3 N^2 j_l(x_n)^2 = 2 v_l(x_n), so no Bessel value or norm is
 left in the voltage:
@@ -37,19 +38,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
 from .core import ParameterError, TargetSpec, diffusivity
 from .modes import ModeLibrary
-from .special import (
-    _gauss_legendre,
-    erfc,
-    spherical_harmonic_dtheta,
-    vector_spherical_harmonic,
-)
+from .special import _gauss_legendre, _legendre_column, erfc, vector_spherical_harmonic
 
 LINE_INTEGRAL_ORDER = 32  # Gauss-Legendre nodes per polygon segment
 
@@ -225,94 +220,57 @@ def pulse_history_integral(pulse: PulseWaveform, rate_per_s):
 # line integrals of exterior multipole fields
 
 
-class _PolygonGeometry(NamedTuple):
-    """Gauss-Legendre nodes of a polygon loop in spherical coordinates, with
-    the dl element and the unit vectors e_theta, e_phi at each node."""
+def line_integrals(loop: Loop, radius_m: float, keys) -> dict:
+    """Line integrals L_lm = oint (a/r)^(l+1) X_lm . dl along ``loop``, in
+    meters, for each (l, m) of ``keys``.
 
-    r: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-    tangents: np.ndarray
-    e_theta: np.ndarray
-    e_phi: np.ndarray
-
-
-@lru_cache(maxsize=8)
-def _polygon_geometry(loop: Loop, order: int) -> _PolygonGeometry:
-    """Quadrature geometry of ``loop``, computed once per (loop, order); read-only."""
-    v = np.array(loop.vertices)
-    seg = np.roll(v, -1, axis=0) - v
-    nodes, wts = _gauss_legendre(order)
-    t = 0.5 * (nodes + 1.0)
-    pts = (v[:, None, :] + seg[:, None, :] * t[None, :, None]).reshape(-1, 3)
-    # dl element per node: segment vector times half the Gauss weight
-    tangents = (seg[:, None, :] * (0.5 * wts)[None, :, None]).reshape(-1, 3)
-    r = np.linalg.norm(pts, axis=1)
-    theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
-    phi = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    sin_p, cos_p = np.sin(phi), np.cos(phi)
-    e_theta = np.stack([cos_t * cos_p, cos_t * sin_p, -sin_t], axis=1)
-    e_phi = np.stack([-sin_p, cos_p, np.zeros_like(phi)], axis=1)
-    geom = _PolygonGeometry(r, theta, phi, tangents, e_theta, e_phi)
-    for arr in geom:
-        arr.flags.writeable = False
-    return geom
-
-
-def exterior_multipole_line_integral(l: int, m: int, loop: Loop, radius_m: float) -> complex:
-    """Line integral oint (a/r)^(l+1) X_lm . dl along the loop, in meters.
-
-    Circular coaxial loops are azimuthally symmetric, so only m = 0
-    contributes and the phi integral is analytic.  Polygonal loops use
-    `LINE_INTEGRAL_ORDER`-point Gauss-Legendre quadrature per segment, on
-    nodes computed once per loop.  Loops touching the target are rejected.
+    A circular coaxial loop is azimuthally symmetric: only m = 0 couples,
+    the phi integral is analytic and X_phi of (l, 0) is -i Ptilde_l1(cos
+    theta), so every degree comes from one Legendre recurrence.  A polygon
+    uses `LINE_INTEGRAL_ORDER`-point Gauss-Legendre quadrature per side, on
+    nodes computed once per call.  Loops touching the target are rejected.
     """
     a = radius_m
     if loop.min_distance_m() <= a:
         raise ParameterError("loop intersects the target sphere")
     if loop.kind == "circular":
-        if m != 0:
-            return 0.0 + 0.0j
         r = np.hypot(loop.radius_m, loop.height_m)
         theta = np.arctan2(loop.radius_m, loop.height_m)
-        xphi = -1j * spherical_harmonic_dtheta(l, 0, theta, 0.0) / np.sqrt(l * (l + 1.0))
-        return complex(2.0 * np.pi * loop.radius_m * (a / r) ** (l + 1) * xphi)
-    g = _polygon_geometry(loop, LINE_INTEGRAL_ORDER)
-    x = vector_spherical_harmonic(l, m, g.theta, g.phi)
-    vec = x[1][:, None] * g.e_theta + x[2][:, None] * g.e_phi
-    field_dot_dl = np.einsum("ij,ij->i", vec.real, g.tangents) + 1j * np.einsum(
-        "ij,ij->i", vec.imag, g.tangents
-    )
-    return complex(np.sum((a / g.r) ** (l + 1) * field_dot_dl))
+        p = _legendre_column(max(l for l, _ in keys), 1, np.cos(theta), np.sin(theta))
+        return {
+            (l, m): complex(2.0 * np.pi * loop.radius_m * (a / r) ** (l + 1) * -1j * p[l - 1])
+            if m == 0 else 0j
+            for l, m in keys
+        }
+    v = np.array(loop.vertices)
+    seg = np.roll(v, -1, axis=0) - v
+    nodes, wts = _gauss_legendre(LINE_INTEGRAL_ORDER)
+    t = 0.5 * (nodes + 1.0)
+    pts = (v[:, None, :] + seg[:, None, :] * t[None, :, None]).reshape(-1, 3)
+    # dl element per node: side vector times half the Gauss weight
+    dl = (seg[:, None, :] * (0.5 * wts)[None, :, None]).reshape(-1, 3)
+    r = np.linalg.norm(pts, axis=1)
+    theta = np.arccos(np.clip(pts[:, 2] / r, -1.0, 1.0))
+    phi = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    sin_p, cos_p = np.sin(phi), np.cos(phi)
+    # dl . e_theta and dl . e_phi at each node
+    dl_theta = (cos_t * cos_p) * dl[:, 0] + (cos_t * sin_p) * dl[:, 1] - sin_t * dl[:, 2]
+    dl_phi = -sin_p * dl[:, 0] + cos_p * dl[:, 1]
+    out = {}
+    for l, m in keys:
+        x = vector_spherical_harmonic(l, m, theta, phi)
+        out[(l, m)] = complex(np.sum((a / r) ** (l + 1) * (x[1] * dl_theta + x[2] * dl_phi)))
+    return out
 
 
-def transmitter_line_integrals(target: TargetSpec, tx: Loop, max_l: int) -> dict:
-    """`exterior_multipole_line_integral` L_lm of the transmitter per (l, m),
-    1 <= l <= max_l: m = 0 for a circular loop, every m for a polygon.
-
-    These serve both the early-time illumination and `coupling_table`.
-    """
-    if tx.min_distance_m() <= target.radius_m:
-        raise ParameterError("transmitter loop intersects the target sphere")
-    return {
-        (l, m): exterior_multipole_line_integral(l, m, tx, target.radius_m)
-        for l in range(1, max_l + 1)
-        for m in ((0,) if tx.kind == "circular" else range(-l, l + 1))
-    }
-
-
-def coupling_table(
-    target: TargetSpec, tx, rx: Loop, max_l: int, current_a: float, tx_line_integrals=None
-) -> dict:
+def coupling_table(target: TargetSpec, tx, rx: Loop, max_l: int, current_a: float) -> dict:
     """Coil coupling G_lm = I conj(L_tx,lm) L_rx,lm per (l, m), 1 <= l <= max_l (A m^2).
 
-    L is `exterior_multipole_line_integral`, evaluated once per (loop, l, m);
-    when either loop is circular only m = 0 couples and only m = 0 is
-    computed.  ``tx_line_integrals``, when given, holds the transmitter's L
-    already evaluated (`transmitter_line_integrals`).  A `UniformField`
-    transmitter enters as its analytic dipole I conj(L_tx,10) =
-    -3i H0 a^2 sqrt(2 pi/3) at (1, 0) alone, which ``current_a`` does not
+    L is `line_integrals`, called once per loop; when either loop is
+    circular only m = 0 couples and only m = 0 is computed.  A
+    `UniformField` transmitter enters as its analytic dipole I conj(L_tx,10)
+    = -3i H0 a^2 sqrt(2 pi/3) at (1, 0) alone, which ``current_a`` does not
     scale.  Loops touching the target are rejected.
     """
     a = target.radius_m
@@ -321,15 +279,11 @@ def coupling_table(
     elif isinstance(tx, Loop):
         coaxial = "circular" in (tx.kind, rx.kind)
         keys = [(l, m) for l in range(1, max_l + 1) for m in ((0,) if coaxial else range(-l, l + 1))]
-        lines = tx_line_integrals
-        if lines is None:
-            lines = {lm: exterior_multipole_line_integral(*lm, tx, a) for lm in keys}
-        drive = {lm: current_a * np.conj(lines[lm]) for lm in keys}
+        drive = {lm: current_a * np.conj(v) for lm, v in line_integrals(tx, a, keys).items()}
     else:
         raise ParameterError("transmitter must be a UniformField or a Loop")
-    return {
-        lm: complex(d * exterior_multipole_line_integral(*lm, rx, a)) for lm, d in drive.items()
-    }
+    received = line_integrals(rx, a, list(drive))
+    return {lm: complex(d * received[lm]) for lm, d in drive.items()}
 
 
 def compute_excitation(

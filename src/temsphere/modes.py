@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MU_0, MaterialSpec, NumericalError, ParameterError, TargetSpec, diffusivity
+from .core import MU_0, NumericalError, ParameterError, TargetSpec, diffusivity
 from .special import _bessel_neighbours, _bessel_zero_ladder, _refine_roots
 
 
@@ -95,7 +95,7 @@ class ModeLibrary:
     """Immutable, rate-ordered collection of modes for one target.
 
     The modes are held as read-only `columns`; `Mode` objects are built only
-    when asked for (``modes``, ``sector``, iteration and indexing).  Every
+    when asked for (``modes``, ``sector``).  Every
     mode has m = 0: the m degeneracy of the sphere is exact and summed by
     the excitation.  ``ModeLibrary(target, mu_b, modes, max_l, max_n)``
     takes a tuple of `Mode`; `from_columns` takes the arrays.
@@ -150,12 +150,6 @@ class ModeLibrary:
     def __len__(self) -> int:
         return self.columns.l.size
 
-    def __iter__(self):
-        return iter(self.modes)
-
-    def __getitem__(self, index):
-        return self.modes[index]
-
     def _rows(self):
         """(l, n, x, rate, norm) per mode, as Python numbers."""
         c = self.columns
@@ -205,44 +199,10 @@ class ModeLibrary:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModeLibrary":
-        tgt = TargetSpec(
-            radius_m=data["target"]["radius_m"],
-            material=MaterialSpec(
-                conductivity_s_per_m=data["target"]["conductivity_s_per_m"],
-                relative_permeability=data["target"]["mu_r"],
-            ),
-        )
-        modes = tuple(
-            Mode(
-                l=m["l"],
-                m=m["m"],
-                n=m["n"],
-                x=m["x"],
-                decay_rate_per_s=m["lambda_per_s"],
-                norm=m["norm"],
-                radius_m=tgt.radius_m,
-            )
-            for m in data["modes"]
-        )
-        return cls(
-            target=tgt,
-            background_mu_r=data["background_mu_r"],
-            modes=modes,
-            max_l=data["max_l"],
-            max_n=data["max_n"],
-        )
-
     def save(self, path) -> None:
         from ._io import atomic_write_text
 
         atomic_write_text(path, json.dumps(self.to_dict(), indent=1, allow_nan=False) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ModeLibrary":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 class _Sector(Sequence):
@@ -387,8 +347,8 @@ def _library(target: TargetSpec, background_mu_r: float, ls: tuple, count: int) 
 def find_decay_rates(target: TargetSpec, background_mu_r: float, l: int, count: int) -> ModeLibrary:
     """First ``count`` normalized modes of sector l, ascending decay rate.
 
-    Returned as a one-sector `ModeLibrary` (max_l = l, max_n = count), a
-    sequence of `Mode`; held like `build_mode_library`.
+    Returned as a one-sector `ModeLibrary` (max_l = l, max_n = count), held
+    like `build_mode_library`.
     """
     return _library(target, background_mu_r, (l,), count)
 

@@ -28,7 +28,6 @@ from .excitation import (
     compute_excitation,
     coupling_table,
     synthesize_voltage,
-    transmitter_line_integrals,
 )
 from .modes import ModeLibrary, build_mode_library
 
@@ -89,19 +88,13 @@ def early_response(
     """Staged early-time pipeline and the receiver signal of one scenario.
 
     The signal comes from the coupling table, as in `forward_model`; the
-    stages serve the per-stage report and the field scan.  Both read one
-    evaluation of each transmitter line integral.
+    stages serve the per-stage report and the field scan.
     """
-    tx, rx, current = config.transmitter, config.receiver, config.pulse.effective_current_a
+    tx, current = config.transmitter, config.pulse.effective_current_a
     mu_b = config.environment.background.relative_permeability
-    lines = None
-    if isinstance(tx, Loop):
-        lines = transmitter_line_integrals(config.target, tx, config.max_l)
-    early = run_early_pipeline(
-        config.target, mu_b, tx, config.max_l, source_current_a=current, line_integrals=lines
-    )
-    coupling = coupling_table(config.target, tx, rx, config.max_l, current, lines)
-    return early, early_signal(coupling, rx, markers, config.target)
+    early = run_early_pipeline(config.target, mu_b, tx, config.max_l, source_current_a=current)
+    coupling = coupling_table(config.target, tx, config.receiver, config.max_l, current)
+    return early, early_signal(coupling, config.receiver, markers, config.target)
 
 
 def forward_model(

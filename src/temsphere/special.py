@@ -291,21 +291,21 @@ def _bessel_zero_ladder(max_order: int, count: int) -> list:
 # spherical harmonics
 
 
-def _legendre_normalized(l: int, m: int, costh: np.ndarray, sinth: np.ndarray):
-    # Fully normalized associated Legendre, Condon-Shortley phase, m >= 0:
-    # Ptilde_lm such that Y_lm = Ptilde_lm exp(i m phi).
+def _legendre_column(l: int, m: int, costh, sinth) -> list:
+    """[Ptilde_mm, ..., Ptilde_lm]: fully normalized associated Legendre
+    functions of order m >= 0, degrees m..l, from one degree recurrence, with
+    the Condon-Shortley phase, so that Y_lm = Ptilde_lm exp(i m phi)."""
     p = np.full_like(costh, 1.0 / np.sqrt(4.0 * np.pi))
     for k in range(1, m + 1):
         p = -np.sqrt((2 * k + 1) / (2.0 * k)) * sinth * p
-    if l == m:
-        return p
-    pm1 = p
-    pm = np.sqrt(2 * m + 3.0) * costh * p
+    column = [p]
+    if l > m:
+        column.append(np.sqrt(2 * m + 3.0) * costh * p)
     for ll in range(m + 2, l + 1):
         a = np.sqrt((4.0 * ll * ll - 1.0) / (ll * ll - m * m))
         b = np.sqrt(((ll - 1.0) ** 2 - m * m) / (4.0 * (ll - 1.0) ** 2 - 1.0))
-        pm, pm1 = a * (costh * pm - b * pm1), pm
-    return pm
+        column.append(a * (costh * column[-1] - b * column[-2]))
+    return column
 
 
 def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray | complex:
@@ -317,7 +317,7 @@ def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray | complex:
     scalar = th.ndim == 0 and ph.ndim == 0
     th, ph = np.atleast_1d(th), np.atleast_1d(ph)
     am = abs(m)
-    p = _legendre_normalized(l, am, np.cos(th), np.sin(th))
+    p = _legendre_column(l, am, np.cos(th), np.sin(th))[-1]
     y = p * np.exp(1j * am * ph)
     if m < 0:
         y = (-1.0) ** am * np.conj(y)

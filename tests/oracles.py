@@ -12,12 +12,17 @@ the receiver voltage out of the staged pipeline's exterior correction,
 where `earlytime.early_signal` takes it from the coupling table, and
 `crosscheck_amplitude` extracts it from a synthesized mode sum.
 
-The transmitter coupling has two references of its own.  The package
-takes a loop's illumination from the exterior-multipole line integral by
-reciprocity; `grid_illumination_coefficients` instead projects the loop's
-Biot-Savart normal field on a sphere quadrature grid (`angular_grid`,
+The transmitter coupling has three references of its own.  The package
+takes a loop's illumination from the exterior-multipole line integrals by
+reciprocity, all (l, m) of a loop in one `excitation.line_integrals` call;
+`exterior_multipole_line_integral` evaluates one (l, m) at a time, a
+circular loop from dY_l0/dtheta at its own degree,
+`grid_illumination_coefficients` instead projects the loop's Biot-Savart
+normal field on a sphere quadrature grid (`angular_grid`,
 `project_scalar`), and `polygon_line_integral` redoes the line integral
-with a fine Gauss-Legendre rule in Cartesian components.
+with a Gauss-Legendre rule of any order in Cartesian components.
+
+`load_library` reads a ``modes.json`` file back into a `ModeLibrary`.
 
 The rate fit has one: `levenberg_marquardt_one` is the per-start
 Levenberg-Marquardt loop on `project_one`, a one-start variable
@@ -25,26 +30,60 @@ projection, which `inversion._levenberg_marquardt` runs for a whole stack
 of starts in lockstep.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from temsphere.core import MU_0, ParameterError, ScaleSystem, TargetSpec, TimeMarkers, scales_for
+from temsphere.core import (
+    MU_0,
+    MaterialSpec,
+    ParameterError,
+    ScaleSystem,
+    TargetSpec,
+    TimeMarkers,
+    scales_for,
+)
 from temsphere.earlytime import TRANSIENT_GUARD, WINDOW_FRACTION, EarlyPipeline, EarlySignal
 from temsphere.excitation import (
     ExcitationCoefficients,
     Loop,
     PulseWaveform,
+    LINE_INTEGRAL_ORDER,
     UniformField,
-    exterior_multipole_line_integral,
     pulse_history_integral,
     synthesize_voltage,
 )
 from temsphere.inversion import LM_MAX_EVALS, _Projection, _rates_from_params
 from temsphere.modes import Mode, ModeLibrary, _wavenumbers
-from temsphere.special import spherical_bessel_j, spherical_harmonic, vector_spherical_harmonic
+from temsphere.special import (
+    spherical_bessel_j,
+    spherical_harmonic,
+    spherical_harmonic_dtheta,
+    vector_spherical_harmonic,
+)
+
+
+def load_library(path) -> ModeLibrary:
+    """The `ModeLibrary` of a ``modes.json`` file (`ModeLibrary.save`), rebuilt
+    from its `Mode` rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    target = TargetSpec(
+        radius_m=data["target"]["radius_m"],
+        material=MaterialSpec(
+            conductivity_s_per_m=data["target"]["conductivity_s_per_m"],
+            relative_permeability=data["target"]["mu_r"],
+        ),
+    )
+    modes = tuple(
+        Mode(l=m["l"], m=m["m"], n=m["n"], x=m["x"], decay_rate_per_s=m["lambda_per_s"],
+             norm=m["norm"], radius_m=target.radius_m)
+        for m in data["modes"]
+    )
+    return ModeLibrary(target, data["background_mu_r"], modes, data["max_l"], data["max_n"])
 
 
 def spherical_bessel_j_derivative(l: int, x) -> np.ndarray | float:
@@ -78,6 +117,26 @@ def radial_profile(mode: Mode, r) -> np.ndarray | float:
     out[~inside] = surface * (a / ra[~inside]) ** (l + 1)
     out *= mode.norm
     return float(out[0]) if scalar else out
+
+
+def exterior_multipole_line_integral(l: int, m: int, loop: Loop, radius_m: float) -> complex:
+    """oint (a/r)^(l+1) X_lm . dl along the loop, one (l, m) at a time, in meters.
+
+    A circular coaxial loop takes X_phi from dY_l0/dtheta at its own degree
+    (`spherical_harmonic_dtheta`) and its analytic phi integral; only m = 0
+    couples.  A polygon is `polygon_line_integral` on the package's
+    `LINE_INTEGRAL_ORDER` nodes per side.
+    """
+    if loop.min_distance_m() <= radius_m:
+        raise ParameterError("loop intersects the target sphere")
+    if loop.kind != "circular":
+        return polygon_line_integral(l, m, loop, radius_m, LINE_INTEGRAL_ORDER)
+    if m != 0:
+        return 0.0 + 0.0j
+    r = np.hypot(loop.radius_m, loop.height_m)
+    theta = np.arctan2(loop.radius_m, loop.height_m)
+    xphi = -1j * spherical_harmonic_dtheta(l, 0, theta, 0.0) / np.sqrt(l * (l + 1.0))
+    return complex(2.0 * np.pi * loop.radius_m * (radius_m / r) ** (l + 1) * xphi)
 
 
 def coil_line_integral(mode: Mode, loop: Loop) -> complex:

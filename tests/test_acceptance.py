@@ -53,13 +53,13 @@ def steel_sphere():
 def test_criterion_1_eigencondition_vs_oracle(aluminum_sphere, steel_sphere):
     """Nonmagnetic l=1 roots at n pi; both spectra agree with the FD solver."""
     t0 = time.monotonic()
-    modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=5)
+    modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=5).modes
     xs = np.array([m.x for m in modes])
     root_err = np.max(np.abs(xs - np.arange(1, 6) * np.pi) / (np.arange(1, 6) * np.pi))
     fd = ts.radial_fd_decay_rates(aluminum_sphere, 1.0, 1, 2000, count=5)
     rates = np.array([m.decay_rate_per_s for m in modes])
     fd_err = np.max(np.abs(fd - rates) / rates)
-    modes200 = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=5)
+    modes200 = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=5).modes
     fd200 = ts.radial_fd_decay_rates(steel_sphere, 1.0, 1, 2000, count=5)
     rates200 = np.array([m.decay_rate_per_s for m in modes200])
     fd200_err = np.max(np.abs(fd200 - rates200) / rates200)

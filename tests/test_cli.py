@@ -33,6 +33,11 @@ def strip_timestamp(manifest_text):
     return data
 
 
+# target radii whose square is in float range but whose cube (mode norms,
+# voltages) overflows or underflows to 0
+CUBE_OUT_OF_RANGE = (1e103, 1e150, 1e-120)
+
+
 class TestModesCommand:
     def test_writes_library_with_expected_fundamental(self, tmp_path, config_path):
         out = tmp_path / "out"
@@ -255,13 +260,18 @@ class TestNonFiniteInput:
          {"background.resistivity_ohm_m": 1e-300, "background.mu_r": 1e300}),
         ("modes", "mode decay rate", {"target.resistivity_ohm_m": 1e300}),
         ("simulate", "mode decay rate", {"target.resistivity_ohm_m": 1e300}),
-    ], ids=["far-standoff", "huge-radius", "tiny-radius", "target-d0", "background-d0",
-            "modes-rate", "simulate-rate"])
+    ] + [(command, "target.radius_m", {"target.radius_m": radius})
+         for command in ("modes", "simulate") for radius in CUBE_OUT_OF_RANGE],
+        ids=["far-standoff", "huge-radius", "tiny-radius", "target-d0", "background-d0",
+             "modes-rate", "simulate-rate"]
+        + [f"{command}-radius-{radius:g}" for command in ("modes", "simulate")
+           for radius in CUBE_OUT_OF_RANGE])
     def test_time_scale_or_rate_out_of_float_range_exit_2(
         self, tmp_path, sample_config_dict, capsys, command, where, changes
     ):
         # these used to exit 1 with OverflowError or ZeroDivisionError, exit 2
-        # naming no schema path, or write "lambda_per_s": Infinity
+        # naming no schema path, or write "lambda_per_s": Infinity; a radius
+        # whose cube leaves float range used to do the first or the second
         cfg = json.loads(json.dumps(sample_config_dict))
         for path, value in changes.items():
             *parents, leaf = path.split(".")

@@ -103,8 +103,8 @@ def test_scaling_invariance_dimensionless_outputs(aluminum):
     for s in (2.0, 7.3, 0.11):
         t1 = ts.TargetSpec(0.05, aluminum)
         t2 = ts.TargetSpec(0.05 * s, aluminum)
-        m1 = ts.find_decay_rates(t1, 1.0, l=1, count=4)
-        m2 = ts.find_decay_rates(t2, 1.0, l=1, count=4)
+        m1 = ts.find_decay_rates(t1, 1.0, l=1, count=4).modes
+        m2 = ts.find_decay_rates(t2, 1.0, l=1, count=4).modes
         assert [a.x for a in m1] == [b.x for b in m2]
         for mode, tgt in ((m1, t1), (m2, t2)):
             tau_c = tgt.radius_m**2 / ts.diffusivity(aluminum)

@@ -7,12 +7,13 @@ from dataclasses import replace
 import temsphere as ts
 from temsphere import excitation as ex
 from temsphere.core import ParameterError
-from temsphere.excitation import exterior_multipole_line_integral, pulse_history_integral
+from temsphere.excitation import line_integrals, pulse_history_integral
 from temsphere.special import vector_spherical_harmonic
 
 from oracles import (
     coil_line_integral,
     excitation_amplitude,
+    exterior_multipole_line_integral,
     polygon_line_integral,
     voltage_coefficient,
 )
@@ -75,7 +76,7 @@ class TestPulseHistoryIntegral:
 
 class TestCoilLineIntegral:
     def test_m_nonzero_vanishes_for_coaxial(self, aluminum_sphere, rx_loop):
-        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=2, count=1)[0]
+        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=2, count=1).modes[0]
         from dataclasses import replace
 
         tilted = replace(mode, m=1)
@@ -85,15 +86,38 @@ class TestCoilLineIntegral:
         # parametrize the circle and integrate the multipole field directly
         a = aluminum_sphere.radius_m
         loop = ts.Loop(kind="circular", radius_m=0.3, height_m=0.2)
+        closed = line_integrals(loop, a, [(1, 0), (2, 0), (3, 0)])
         for l in (1, 2, 3):
-            closed = exterior_multipole_line_integral(l, 0, loop, a)
-            phi = np.linspace(0.0, 2 * np.pi, 4001)[:-1]
             r = np.hypot(loop.radius_m, loop.height_m)
             theta = np.arctan2(loop.radius_m, loop.height_m)
             x = vector_spherical_harmonic(l, 0, theta, 0.0)
             # X_l0 is phi-independent; dl = rho dphi phi_hat
             oracle = (a / r) ** (l + 1) * x[2][0] * loop.radius_m * 2 * np.pi
-            assert closed == pytest.approx(oracle, rel=1e-10)
+            assert closed[(l, 0)] == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("rho, h", [(1e-3, 1.0), (0.3, 0.4), (1.0, 1e-3), (0.5, -0.2)],
+                             ids=["near-axis", "between", "near-equator", "below"])
+    def test_circular_column_matches_per_degree_oracle(self, rho, h):
+        # every degree from one Ptilde_l1 recurrence against dY_l0/dtheta per l
+        a = 0.05
+        loop = ts.Loop(kind="circular", radius_m=rho, height_m=h)
+        keys = [(l, 0) for l in range(1, 13)] + [(2, 1), (3, -2)]
+        got = line_integrals(loop, a, keys)
+        ref = {lm: exterior_multipole_line_integral(*lm, loop, a) for lm in keys}
+        top = max(abs(v) for v in ref.values())
+        assert list(got) == keys and got[(2, 1)] == got[(3, -2)] == 0.0
+        assert max(abs(got[lm] - ref[lm]) for lm in keys) <= 1e-14 * top
+
+    @pytest.mark.parametrize("loop", ["square", "triangle"])
+    def test_polygon_matches_per_key_oracle(self, loop):
+        loop = {"square": SQUARE, "triangle": TRIANGLE}[loop]
+        a = 0.05
+        keys = [(l, m) for l in range(1, 13) for m in range(-l, l + 1)]
+        got = line_integrals(loop, a, keys)
+        ref = {lm: exterior_multipole_line_integral(*lm, loop, a) for lm in keys}
+        top = max(abs(v) for v in ref.values())
+        assert list(got) == keys
+        assert max(abs(got[lm] - ref[lm]) for lm in keys) <= 1e-15 * top
 
     def test_polygon_matches_circle(self, aluminum_sphere):
         a = aluminum_sphere.radius_m
@@ -104,12 +128,12 @@ class TestCoilLineIntegral:
         )
         poly = ts.Loop(kind="polygon", vertices=verts)
         circ = ts.Loop(kind="circular", radius_m=rho, height_m=h)
-        for l, m in ((1, 0), (2, 0)):
-            vp = exterior_multipole_line_integral(l, m, poly, a)
-            vc = exterior_multipole_line_integral(l, m, circ, a)
-            assert vp == pytest.approx(vc, rel=1e-5)
+        keys = [(1, 0), (2, 0), (1, 1)]
+        vp, vc = line_integrals(poly, a, keys), line_integrals(circ, a, keys)
+        for lm in ((1, 0), (2, 0)):
+            assert vp[lm] == pytest.approx(vc[lm], rel=1e-5)
         # azimuthal orthogonality survives discretization
-        assert abs(exterior_multipole_line_integral(1, 1, poly, a)) < 1e-8
+        assert abs(vp[(1, 1)]) < 1e-8
 
     def test_polygon_matches_fine_rule(self):
         # a forward-sweep-style square whose near side passes 3.8 target
@@ -120,22 +144,22 @@ class TestCoilLineIntegral:
         keys = [(l, m) for l in range(1, 7) for m in range(-l, l + 1)]
         ref = {lm: polygon_line_integral(*lm, loop, a, order=160) for lm in keys}
         top = max(abs(v) for v in ref.values())
-        err = max(abs(exterior_multipole_line_integral(*lm, loop, a) - ref[lm]) for lm in keys)
-        assert err < 1e-13 * top
+        got = line_integrals(loop, a, keys)
+        assert max(abs(got[lm] - ref[lm]) for lm in keys) < 1e-13 * top
 
     def test_orientation_flip_changes_sign(self, aluminum_sphere):
         a = aluminum_sphere.radius_m
         verts = ((0.3, 0.0, 0.2), (0.0, 0.3, 0.2), (-0.3, -0.3, 0.2))
         fwd = ts.Loop(kind="polygon", vertices=verts)
         rev = ts.Loop(kind="polygon", vertices=tuple(reversed(verts)))
-        v1 = exterior_multipole_line_integral(1, 0, fwd, a)
-        v2 = exterior_multipole_line_integral(1, 0, rev, a)
+        v1 = line_integrals(fwd, a, [(1, 0)])[(1, 0)]
+        v2 = line_integrals(rev, a, [(1, 0)])[(1, 0)]
         assert v1 == pytest.approx(-v2, rel=1e-12)
 
     def test_loop_inside_target_rejected(self, aluminum_sphere):
         loop = ts.Loop(kind="circular", radius_m=0.01, height_m=0.0)
         with pytest.raises(ParameterError):
-            exterior_multipole_line_integral(1, 0, loop, aluminum_sphere.radius_m)
+            line_integrals(loop, aluminum_sphere.radius_m, [(1, 0)])
 
 
 class TestTimeSeries:
@@ -147,12 +171,12 @@ class TestTimeSeries:
 
 class TestExcitationAmplitudes:
     def test_zero_current_history(self, aluminum_sphere, tx_loop):
-        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1)[0]
+        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1).modes[0]
         pulse = ts.PulseWaveform(base_current_a=0.0, ramp="step")
         assert excitation_amplitude(mode, pulse, tx_loop) == 0.0
 
     def test_windings_double_amplitude(self, aluminum_sphere, tx_loop):
-        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1)[0]
+        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1).modes[0]
         p1 = ts.PulseWaveform(base_current_a=1.0, windings=1, ramp="step")
         p2 = ts.PulseWaveform(base_current_a=1.0, windings=2, ramp="step")
         a1 = excitation_amplitude(mode, p1, tx_loop)
@@ -257,7 +281,7 @@ class TestComputeExcitationOracle:
 
 class TestSynthesis:
     def test_single_mode_decay(self, aluminum_sphere):
-        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1)[0]
+        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1).modes[0]
         from dataclasses import replace
 
         mode = replace(mode, decay_rate_per_s=3.0, x=mode.x)
@@ -410,26 +434,27 @@ class TestCouplingTable:
     def test_products_of_line_integrals(self):
         table = ts.coupling_table(ts.TargetSpec(self.A, ts.MaterialSpec(1e7)), SQUARE, TRIANGLE,
                                   3, 2.5)
-        assert sorted(table) == [(l, m) for l in range(1, 4) for m in range(-l, l + 1)]
-        for (l, m), value in table.items():
-            lt = exterior_multipole_line_integral(l, m, SQUARE, self.A)
-            lr = exterior_multipole_line_integral(l, m, TRIANGLE, self.A)
-            assert value == pytest.approx(2.5 * np.conj(lt) * lr, rel=1e-15)
+        keys = [(l, m) for l in range(1, 4) for m in range(-l, l + 1)]
+        assert sorted(table) == keys
+        lt, lr = line_integrals(SQUARE, self.A, keys), line_integrals(TRIANGLE, self.A, keys)
+        for lm, value in table.items():
+            assert value == pytest.approx(2.5 * np.conj(lt[lm]) * lr[lm], rel=1e-15)
 
     @pytest.mark.parametrize("tx, rx", [(SQUARE, COAXIAL_RX), (COAXIAL_TX, TRIANGLE)])
     def test_circular_loop_couples_m0_only(self, tx, rx, monkeypatch):
+        # one line_integrals call per loop, each asked for (l, 0) alone
         calls = []
-        original = ex.exterior_multipole_line_integral
+        original = ex.line_integrals
 
-        def counted(l, m, loop, radius_m):
-            calls.append((l, m, loop.kind))
-            return original(l, m, loop, radius_m)
+        def counted(loop, radius_m, keys):
+            calls.append((loop, list(keys)))
+            return original(loop, radius_m, keys)
 
-        monkeypatch.setattr(ex, "exterior_multipole_line_integral", counted)
+        monkeypatch.setattr(ex, "line_integrals", counted)
         table = ts.coupling_table(ts.TargetSpec(self.A, ts.MaterialSpec(1e7)), tx, rx, 4, 1.0)
-        assert sorted(table) == [(l, 0) for l in range(1, 5)]
-        assert sorted(calls) == sorted([(l, 0, tx.kind) for l in range(1, 5)]
-                                       + [(l, 0, rx.kind) for l in range(1, 5)])
+        m0 = [(l, 0) for l in range(1, 5)]
+        assert list(table) == m0
+        assert calls == [(tx, m0), (rx, m0)]
 
     def test_uniform_field_is_the_reciprocal_dipole(self):
         # a uniform field's illumination d_10 equals that of a loop whose
@@ -438,7 +463,7 @@ class TestCouplingTable:
         h0 = 1.5
         table = ts.coupling_table(target, ts.UniformField(h0), COAXIAL_RX, 3, 7.0)
         assert list(table) == [(1, 0)]
-        lr = exterior_multipole_line_integral(1, 0, COAXIAL_RX, self.A)
+        lr = line_integrals(COAXIAL_RX, self.A, [(1, 0)])[(1, 0)]
         drive = table[(1, 0)] / lr  # I conj(L_tx,10)
         d_loop = -1j * np.sqrt(2.0) * drive / (3.0 * self.A)
         pot_scale = ts.scales_for(target).factor("potential")
@@ -471,36 +496,3 @@ class TestLoopVertices:
     def test_non_sequence_rejected(self):
         with pytest.raises(ParameterError, match="sequence"):
             ts.Loop(kind="polygon", vertices=3.0)
-
-
-class TestPolygonGeometryCache:
-    A = 0.05
-
-    def test_repeat_call_bit_identical_and_cached(self):
-        ex._polygon_geometry.cache_clear()
-        keys = [(l, m) for l in (1, 3) for m in range(-l, l + 1)]
-        first = [exterior_multipole_line_integral(l, m, TRIANGLE, self.A) for l, m in keys]
-        info = ex._polygon_geometry.cache_info()
-        assert (info.misses, info.hits) == (1, 9)  # one geometry per (loop, order)
-        again = [exterior_multipole_line_integral(l, m, TRIANGLE, self.A) for l, m in keys]
-        assert [(v.real, v.imag) for v in again] == [(v.real, v.imag) for v in first]
-        ex._polygon_geometry.cache_clear()
-        fresh = exterior_multipole_line_integral(3, -2, TRIANGLE, self.A)
-        assert (fresh.real, fresh.imag) == (first[4].real, first[4].imag)
-
-    def test_geometry_read_only(self):
-        geom = ex._polygon_geometry(SQUARE, 16)
-        assert geom.r.shape == (4 * 16,) and geom.tangents.shape == (4 * 16, 3)
-        for arr in geom:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.flat[0] = 1.0
-
-    def test_cache_stays_within_bound(self):
-        bound = ex._polygon_geometry.cache_info().maxsize
-        for k in range(3 * bound):
-            loop = ts.Loop(kind="polygon", vertices=(
-                (0.3 + 0.01 * k, 0.0, 0.2), (0.0, 0.3, 0.2), (-0.3, -0.3, 0.2)))
-            exterior_multipole_line_integral(1, 0, loop, self.A)
-            assert ex._polygon_geometry.cache_info().currsize <= bound
-        assert ex._polygon_geometry.cache_info().currsize == bound

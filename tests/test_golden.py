@@ -16,8 +16,9 @@ reproduce the physics it replaces.
 The same configs pin the coupling table that the mode sum and the early
 law share: its terms against the staged early-time pipeline at three
 background permeabilities, the early.json voltage terms summing to the
-amplitude, and a forward op that evaluates each line integral once per
-(loop, l, m), with no Bessel function and no staged pipeline.
+amplitude, and the `excitation.line_integrals` calls: a forward op makes
+one per loop, for the coupling table's keys, with no Bessel function and
+no staged pipeline, and `early` one more for the staged illumination.
 
 Regenerate the recorded files only for an intended change of results:
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -30,7 +31,7 @@ import sys
 import numpy as np
 import pytest
 
-from temsphere import _io, cli, excitation, modes, pipeline, special
+from temsphere import _io, cli, earlytime, excitation, modes, pipeline, special
 from temsphere.core import MU_0, scales_for
 from temsphere.earlytime import early_signal, run_early_pipeline
 from temsphere.excitation import coupling_table
@@ -169,48 +170,66 @@ def test_forward_model_and_payloads_build_no_mode(name, tmp_path, monkeypatch):
     run_case(name, str(tmp_path))
 
 
+def _count_line_integrals(monkeypatch, *modules):
+    """List of (loop, keys) per `excitation.line_integrals` call through ``modules``."""
+    calls = []
+    line_integrals = excitation.line_integrals
+
+    def counted(loop, radius_m, keys):
+        calls.append((loop, list(keys)))
+        return line_integrals(loop, radius_m, keys)
+
+    for module in modules:
+        monkeypatch.setattr(module, "line_integrals", counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_forward_model_reads_one_coupling_table(name, monkeypatch):
     # on a built library, a forward op evaluates no Bessel function, runs no
-    # staged early-time pipeline and each line integral once per (loop, l, m)
+    # staged early-time pipeline and makes one line_integrals call per loop,
+    # each for the coupling table's keys (a uniform field has no transmitter loop)
     config, gates = CASES[name]
     config = _io.parse_config(config)
     library = pipeline.build_library(config)
-    calls = []
-    line_integral = excitation.exterior_multipole_line_integral
-
-    def counted(l, m, loop, radius_m):
-        calls.append((l, m, loop))
-        return line_integral(l, m, loop, radius_m)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
-    monkeypatch.setattr(excitation, "exterior_multipole_line_integral", counted)
+    calls = _count_line_integrals(monkeypatch, excitation)
     for module in (special, modes, excitation):
         monkeypatch.setattr(module, "spherical_bessel_j", forbidden, raising=False)
     monkeypatch.setattr(pipeline, "run_early_pipeline", forbidden)
     lo, hi, count = gates.split(",")
-    pipeline.forward_model(config, np.geomspace(float(lo), float(hi), int(count)), library)
-    assert calls and len(calls) == len(set(calls))
+    result = pipeline.forward_model(
+        config, np.geomspace(float(lo), float(hi), int(count)), library)
+    keys = list(result.coefficients.coupling)
+    loops = [config.receiver] if name.startswith("uniform") else [config.transmitter,
+                                                                 config.receiver]
+    assert calls == [(loop, keys) for loop in loops]
+    assert len(keys) == len(set(keys))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_early_evaluates_each_line_integral_once(name, tmp_path, monkeypatch):
-    # the staged illumination takes the transmitter's L_lm from the table's
-    # evaluation; a polygon transmitter needs every m, a circular receiver m = 0
-    calls = []
-    line_integral = excitation.exterior_multipole_line_integral
-
-    def counted(l, m, loop, radius_m):
-        calls.append((l, m, loop))
-        return line_integral(l, m, loop, radius_m)
-
-    monkeypatch.setattr(excitation, "exterior_multipole_line_integral", counted)
+    # each table evaluates each of its line integrals once, in one call per
+    # loop: the staged illumination needs every m of a polygon transmitter,
+    # the coupling table m = 0 alone when either loop is circular
+    calls = _count_line_integrals(monkeypatch, excitation, earlytime)
     run_early_case(name, str(tmp_path))
-    assert len(calls) == len(set(calls))
+    assert all(len(keys) == len(set(keys)) for _, keys in calls)
+    config = _io.parse_config(CASES[name][0])
+    tx, rx = config.transmitter, config.receiver
     if name == "polygon-table-l2-mu1":  # square transmitter, circular receiver, max_l 2
-        assert len(calls) == 8 + 2
+        every_m = [(1, -1), (1, 0), (1, 1), (2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]
+        assert calls == [(tx, every_m), (tx, [(1, 0), (2, 0)]), (rx, [(1, 0), (2, 0)])]
+    elif name.startswith("uniform"):
+        assert calls == [(rx, [(1, 0)])]
+    else:  # both loops circular, or both polygons: every table has the same keys
+        keys = calls[0][1]
+        assert calls == [(tx, keys), (tx, keys), (rx, keys)]
+        max_l = config.max_l
+        assert len(keys) == (max_l if tx.kind == "circular" else max_l * (max_l + 2))
 
 
 def _assert_early_report(got, ref):

@@ -25,7 +25,7 @@ from temsphere.modes import (
 )
 from temsphere.special import spherical_bessel_j
 
-from oracles import eigencondition_derivative, radial_profile
+from oracles import eigencondition_derivative, load_library, radial_profile
 
 
 class TestEigencondition:
@@ -35,12 +35,12 @@ class TestEigencondition:
             assert abs(eigencondition(1, n * np.pi, 1.0)) < 1e-12
 
     def test_nonmagnetic_l2_first_root_at_j1_zero(self, aluminum_sphere):
-        modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=2, count=1)
+        modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=2, count=1).modes
         assert modes[0].x == pytest.approx(4.493409457909064, abs=1e-10)
 
     def test_high_contrast_limit_approaches_j_l_zeros(self, aluminum):
         target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8, 1e7))
-        modes = ts.find_decay_rates(target, 1.0, l=1, count=1)
+        modes = ts.find_decay_rates(target, 1.0, l=1, count=1).modes
         assert modes[0].x == pytest.approx(4.493409457909064, rel=1e-5)
 
     @pytest.mark.parametrize("mu_ratio", [1.0, 1.57, 60.0, 300.0])
@@ -71,7 +71,7 @@ class TestEigencondition:
 
 class TestFindDecayRates:
     def test_aluminum_fundamental(self, aluminum_sphere):
-        modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=2)
+        modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=2).modes
         d = ts.diffusivity(aluminum_sphere.material)
         expected = np.pi**2 * d / aluminum_sphere.radius_m**2
         assert modes[0].decay_rate_per_s == pytest.approx(expected, rel=1e-12)
@@ -79,7 +79,7 @@ class TestFindDecayRates:
         assert modes[1].decay_rate_per_s == pytest.approx(4 * expected, rel=1e-12)
 
     def test_residuals_polished(self, steel_sphere):
-        modes = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=20)
+        modes = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=20).modes
         mu_ratio = 200.0
         for m in modes:
             scale = 1.0 + abs(1 - mu_ratio) / max(m.x, 1.0)
@@ -88,10 +88,10 @@ class TestFindDecayRates:
     def test_spacing_approaches_pi(self, aluminum_sphere, steel_sphere):
         # nonmagnetic: spacing is exactly pi; permeable: approaches pi like
         # (mu-1)/(pi n^2) from below
-        modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=60)
+        modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=60).modes
         xs = np.array([m.x for m in modes])
         assert np.allclose(np.diff(xs), np.pi, atol=1e-10)
-        modes = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=200)
+        modes = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=200).modes
         xs = np.array([m.x for m in modes])
         gaps = np.abs(np.diff(xs) - np.pi)
         assert np.all(np.diff(xs) > 0)
@@ -100,7 +100,7 @@ class TestFindDecayRates:
         assert gaps[-1] < gaps[120] < gaps[80]
 
     def test_all_rates_positive_and_fundamental_order_one(self, steel_sphere):
-        modes = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=10)
+        modes = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=10).modes
         tau_c = steel_sphere.radius_m**2 / ts.diffusivity(steel_sphere.material)
         assert all(m.decay_rate_per_s > 0 for m in modes)
         assert 1.0 < modes[0].decay_rate_per_s * tau_c < 30.0
@@ -152,7 +152,7 @@ class TestRadialFdOracle:
     def test_oracle_agreement(self, aluminum, l, mu_ratio):
         material = ts.MaterialSpec(1 / 2.8e-8, mu_ratio)
         target = ts.TargetSpec(0.05, material)
-        modes = ts.find_decay_rates(target, 1.0, l=l, count=10)
+        modes = ts.find_decay_rates(target, 1.0, l=l, count=10).modes
         fd = ts.radial_fd_decay_rates(target, 1.0, l, 2000, count=10)
         rates = np.array([m.decay_rate_per_s for m in modes])
         assert np.max(np.abs(fd - rates) / rates) < 5e-3
@@ -198,25 +198,25 @@ class TestRadialFdOracle:
 
 class TestProfilesAndNormalization:
     def test_profile_zero_at_center(self, aluminum_sphere):
-        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1)[0]
+        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1).modes[0]
         assert radial_profile(mode, 0.0) == 0.0
 
     def test_profile_continuous_at_surface(self, steel_sphere):
-        mode = ts.find_decay_rates(steel_sphere, 1.0, l=2, count=1)[0]
+        mode = ts.find_decay_rates(steel_sphere, 1.0, l=2, count=1).modes[0]
         a = steel_sphere.radius_m
         inner = radial_profile(mode, a * (1 - 1e-13))
         outer = radial_profile(mode, a * (1 + 1e-13))
         assert inner == pytest.approx(outer, rel=1e-10)
 
     def test_profile_exterior_decay(self, aluminum_sphere):
-        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1)[0]
+        mode = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=1).modes[0]
         a = aluminum_sphere.radius_m
         assert radial_profile(mode, 4 * a) == pytest.approx(
             radial_profile(mode, 2 * a) / 4.0, rel=1e-12
         )
 
     def test_radial_orthogonality(self, aluminum_sphere):
-        m1, m2 = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=2)
+        m1, m2 = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=2).modes
         a = aluminum_sphere.radius_m
         val, _ = quad(
             lambda r: radial_profile(m1, r) * radial_profile(m2, r) * r * r,
@@ -231,7 +231,7 @@ class TestProfilesAndNormalization:
     def test_gram_matrix_identity(self, mu_ratio):
         material = ts.MaterialSpec(1 / 2.8e-8, mu_ratio)
         target = ts.TargetSpec(0.05, material)
-        modes = ts.find_decay_rates(target, 1.0, l=1, count=8)
+        modes = ts.find_decay_rates(target, 1.0, l=1, count=8).modes
         a = target.radius_m
         sigma = material.conductivity_s_per_m
         r = np.linspace(0, a, 20001)
@@ -242,7 +242,7 @@ class TestProfilesAndNormalization:
         assert np.max(np.abs(gram - np.eye(8))) < 1e-6
 
     def test_normalization_closed_form_vs_quadrature(self, steel_sphere):
-        mode = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=3)[2]
+        mode = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=3).modes[2]
         val, _ = quad(
             lambda u: spherical_bessel_j(1, mode.x * u) ** 2 * u * u, 0, 1, limit=200
         )
@@ -270,7 +270,7 @@ class TestModeLibrary:
         assert np.all(np.diff(rates) >= 0)
         path = tmp_path / "modes.json"
         lib.save(path)
-        loaded = ts.ModeLibrary.load(path)
+        loaded = load_library(path)
         assert loaded.rates.tolist() == rates.tolist()
         assert [m.x for m in loaded.modes] == [m.x for m in lib.modes]
         # deterministic bytes
@@ -279,7 +279,7 @@ class TestModeLibrary:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_rejects_unsorted(self, aluminum_sphere):
-        modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=2)
+        modes = ts.find_decay_rates(aluminum_sphere, 1.0, l=1, count=2).modes
         with pytest.raises(ParameterError):
             ts.ModeLibrary(
                 target=aluminum_sphere,
@@ -425,7 +425,7 @@ class TestSpectrumCache:
         ids=lambda p: os.path.basename(os.path.dirname(p)),
     )
     def test_warm_and_cold_libraries_match_golden(self, cold_libraries, empty_ladder, path):
-        recorded = ts.ModeLibrary.load(path)
+        recorded = load_library(path)
         args = (recorded.target, recorded.background_mu_r, recorded.max_l, recorded.max_n)
         with open(path, encoding="utf-8") as fh:
             golden = fh.read()
@@ -541,7 +541,7 @@ class TestColumnLibrary:
             assert [m.n for m in lib.sector(l)] == list(range(1, 21))
         assert json.dumps(lib.to_dict(), indent=1) == json.dumps(twin.to_dict(), indent=1)
         assert len(lib) == len(twin) == 60
-        assert list(lib) == list(twin.modes) and lib[7] == twin[7]
+        assert lib.modes == twin.modes and lib.modes[7] == twin.modes[7]
 
     def test_sector_slice_builds_only_what_is_read(self, steel_sphere, cold_libraries,
                                                    monkeypatch):
@@ -566,7 +566,7 @@ class TestColumnLibrary:
         assert (sector.max_l, sector.max_n, len(sector)) == (2, 6, 6)
         assert sector.columns.l.tolist() == [2] * 6
         assert sector.columns.n.tolist() == list(range(1, 7))
-        first, *_, last = sector
+        first, *_, last = sector.modes
         assert (first.n, last.n, first.m, first.radius_m) == (1, 6, 0, steel_sphere.radius_m)
 
     @pytest.mark.parametrize("column, value", [
@@ -612,7 +612,7 @@ class TestColumnLibrary:
             ts.ModeLibrary.from_columns(steel_sphere, 1.0, cols._replace(l=cols.l + 0.5), 1, 4)
 
     def test_mode_checks_still_apply(self, steel_sphere):
-        mode = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=1)[0]
+        mode = ts.find_decay_rates(steel_sphere, 1.0, l=1, count=1).modes[0]
         for bad in ({"l": 0}, {"n": 0}, {"x": -1.0}, {"decay_rate_per_s": 0.0}, {"m": 2}):
             with pytest.raises(ParameterError):
                 dataclasses.replace(mode, **bad)
