@@ -379,11 +379,12 @@ def external_fields(
         y = spherical_harmonic(l, m, th, ph)
         dy = spherical_harmonic_dtheta(l, m, th, ph)
         x = vector_spherical_harmonic(l, m, th, ph)
-        # Delta_B = -mu_b grad(c r^-(l+1) Y)
+        # Delta_B = -mu_b grad(c r^-(l+1) Y); its phi part holds
+        # i m Y / sin(theta) = -i sqrt(l(l+1)) X_theta, finite on the axis
         dB[0] += mu_b * c * (l + 1) * radial * y
         dB[1] -= mu_b * c * radial * dy
         if m != 0:
-            dB[2] -= mu_b * c * radial * 1j * m * y / np.sin(th)
+            dB[2] += mu_b * c * radial * 1j * np.sqrt(l * (l + 1.0)) * x[1]
         amp = -1j * mu_b * np.sqrt((l + 1.0) / l) * c * ra ** -(l + 1.0)
         dA[1] += amp * x[1]
         dA[2] += amp * x[2]

@@ -26,15 +26,12 @@ formula needs no further constants.
 
 A library is built in one pass over its sectors (`_library`): one
 Bessel-zero ladder request for the highest sector, one bracket scan, one
-bracketed-Newton loop in which every root carries its own l, then the
-residual gate, the Lommel norms, the rates and one sort.  Every Bessel value
-comes from `special._bessel_neighbours`, which takes j_(l-1), j_l and
-j_(l+1) from one sin/cos and one upward recurrence.  Those values equal
-`spherical_bessel_j` bit for bit wherever it uses a closed form
-(order <= 2) or the upward recurrence (x >= order); below that its power
-series and downward recurrence depend on the array they run on, so the
-kernel hands it the same per-sector arrays a one-sector build would.  Each
-sector of a library therefore equals that sector built alone, bit for bit.
+bracketed-Newton loop in which every root carries its own l, one
+j_(l-1), j_l, j_(l+1) evaluation for both the residual gate and the Lommel
+norms, then the rates and one sort.  Every Bessel value comes from
+`special._bessel_neighbours`, the one evaluator, in which a value depends
+on its x and order alone.  Each sector of a library therefore equals that
+sector built alone, bit for bit.
 The 32 most recently built libraries are held, read-only, per (target,
 background mu_r, sectors, count); a repeated build returns the held one.
 """
@@ -234,22 +231,25 @@ def eigencondition(l: int, x, mu_ratio: float):
         return _eigencondition_fdf(l, mu_ratio, xa)[0].reshape(xa.shape)[()]
 
 
-def _eigencondition_fdf(l, mu_ratio: float, x: np.ndarray) -> tuple:
+def _eigencondition_fdf(l, mu_ratio: float, x: np.ndarray, bessel=None) -> tuple:
     """(F, F') from one pair of Bessel values, with c = l (1 - mu_ratio):
     F = x j_(l-1) - c j_l and F' = (l - c) j_(l-1) + (c (l+1)/x - x) j_l.
 
-    ``l`` is an int or a per-element int array (`_bessel_neighbours`)."""
+    ``l`` is an int or a per-element int array (`_bessel_neighbours`).  The
+    pair is computed here, or read from the head of ``bessel``, a list of
+    consecutive orders from j_(l-1) at x."""
     c = l * (1.0 - mu_ratio)
-    jm, jl = _bessel_neighbours(l, x)
+    jm, jl = _bessel_neighbours(l, x) if bessel is None else bessel[:2]
     return x * jm - c * jl, (l - c) * jm + (c * (l + 1) / x - x) * jl
 
 
-def _residual_ok(l, x: np.ndarray, mu_ratio: float) -> np.ndarray:
+def _residual_ok(l, x: np.ndarray, mu_ratio: float, bessel=None) -> np.ndarray:
     """Per root: |F(x)| within 1e-12 (scaled) or within its rounding floor 8 eps x |F'(x)|.
 
-    F and F' come from `_eigencondition_fdf`, the pair the Newton finish uses.
+    F and F' come from `_eigencondition_fdf` (on ``bessel`` when given), the
+    expressions the Newton finish uses.
     """
-    f, df = _eigencondition_fdf(l, mu_ratio, x)
+    f, df = _eigencondition_fdf(l, mu_ratio, x, bessel)
     scale = 1.0 + abs(l * (1.0 - mu_ratio)) / np.maximum(x, 1.0)
     floor = 8.0 * np.finfo(float).eps * x * np.abs(df)
     return np.abs(f) <= np.maximum(1e-12 * scale, floor)
@@ -265,9 +265,10 @@ def _wavenumbers(ls, mu_ratio: float, count: int) -> np.ndarray:
     sign, so a sign change of the residual at the endpoints brackets exactly
     one root and none are missed.  Nonmagnetic sectors need zeros of
     j_(l-1) only.  All roots are refined in one Newton loop in which each
-    root carries its l, and every Bessel value comes from
-    `_bessel_neighbours` with one sector as the array, so each sector's
-    roots equal a computation of that sector alone, bit for bit.
+    root carries its l.  A Bessel value from `_bessel_neighbours` depends
+    on its x and order alone, and each root stops on its own, so each
+    sector's roots equal a computation of that sector alone, bit for bit.
+    The caller (`_library`) gates the residual.
     """
     extra = count + 2
     ladder = _bessel_zero_ladder(max(ls) - (mu_ratio == 1.0), extra)
@@ -300,25 +301,20 @@ def _wavenumbers(ls, mu_ratio: float, count: int) -> np.ndarray:
     for l, r in zip(ls, roots):
         if r.size < count:
             raise NumericalError(f"found only {r.size} of {count} roots for l={l}")
-    xcol = np.concatenate(roots)
-    if not np.all(_residual_ok(np.repeat(ls, count), xcol, mu_ratio)):
-        raise NumericalError("eigencondition residual above its rounding floor after polishing")
-    return xcol
+    return np.concatenate(roots)
 
 
-def _lommel(l, x):
-    """J(x) = int_0^1 j_l(x u)^2 u^2 du = [j_l(x)^2 - j_(l-1)(x) j_(l+1)(x)] / 2.
+def normalization_constant(target: TargetSpec, l, x, bessel=None) -> np.ndarray | float:
+    """Radial normalization N with mu_0 sigma_c N^2 a^3 J(x) = 1, where
 
-    Lommel closed form, valid for every x; ``l`` is an int or per element.
+        J(x) = int_0^1 j_l(x u)^2 u^2 du = [j_l(x)^2 - j_(l-1)(x) j_(l+1)(x)] / 2
+
+    is the Lommel closed form, valid for every x.  ``l`` is an int or per
+    element; ``bessel`` is [j_(l-1), j_l, j_(l+1)] at x, computed when omitted.
     """
-    jm, jl, jp = _bessel_neighbours(l, x, 3)
-    return 0.5 * (jl * jl - jm * jp)
-
-
-def normalization_constant(target: TargetSpec, l: int, x) -> np.ndarray | float:
-    """Radial normalization N with mu_0 sigma_c N^2 a^3 J(x) = 1, J from `_lommel`."""
+    jm, jl, jp = _bessel_neighbours(l, x, 3) if bessel is None else bessel
     sigma = target.material.conductivity_s_per_m
-    return 1.0 / np.sqrt(MU_0 * sigma * target.radius_m**3 * _lommel(l, x))
+    return 1.0 / np.sqrt(MU_0 * sigma * target.radius_m**3 * (0.5 * (jl * jl - jm * jp)))
 
 
 @lru_cache(maxsize=32)
@@ -331,9 +327,12 @@ def _library(target: TargetSpec, background_mu_r: float, ls: tuple, count: int) 
     mu_ratio = target.material.relative_permeability / background_mu_r
     x = _wavenumbers(ls, mu_ratio, count)
     l = np.repeat(ls, count)
+    bessel = _bessel_neighbours(l, x, 3)  # one pass serves the residual gate and the norms
+    if not np.all(_residual_ok(l, x, mu_ratio, bessel)):
+        raise NumericalError("eigencondition residual above its rounding floor after polishing")
     a = target.radius_m
     with np.errstate(over="ignore", divide="ignore"):
-        norm = normalization_constant(target, l, x)
+        norm = normalization_constant(target, l, x, bessel)
         rate = diffusivity(target.material) * x * x / (a * a)
     if not (np.isfinite(rate).all() and np.isfinite(norm).all()):
         raise ParameterError("mode decay rate or norm overflows: target radius, "

@@ -13,10 +13,17 @@ In spherical components (r, theta, phi):
     X_theta = -m Y_lm / (sin(theta) sqrt(l(l+1)))
     X_phi   = -i dY_lm/dtheta / sqrt(l(l+1))
 
-Bessel evaluation follows the usual stability rules: power series at small
-argument, renormalized downward recurrence below the turning point, and
-upward recurrence only in the oscillatory regime x >= l where it is
-stable (it loses all accuracy for x < l).
+m Y_lm / sin(theta) is taken from the Legendre recurrence with one sin
+factor fewer, so both components are finite on the z-axis.
+
+Spherical Bessel functions have one evaluator, `_bessel_neighbours`, under
+the usual stability rules.  At or above an order's cut (x >= order, or
+x >= max(order/2, 1/2) for the closed forms of orders 0-2) it takes the
+closed forms and the upward recurrence, which is stable only there (it
+loses all accuracy for x < order).  Below the cut it takes one Miller
+downward sweep, normalized by the larger of j_0 and j_1 (normalizing by
+j_0 alone loses every digit near its zeros x = k pi).  Every step is
+elementwise, so a value depends on its x and order alone.
 """
 
 from __future__ import annotations
@@ -46,73 +53,16 @@ def erfc(x) -> np.ndarray:
 # spherical Bessel functions
 
 
-def _bessel_series(l: int, x: np.ndarray) -> np.ndarray:
-    # j_l(x) = x^l/(2l+1)!! sum_k (-x^2/2)^k / (k! (2l+3)(2l+5)...(2l+2k+1))
-    dfact = 1.0
-    for i in range(1, 2 * l + 2, 2):
-        dfact *= i
-    term = x**l / dfact
-    total = term.copy()
-    for k in range(1, 60):
-        term = term * (-0.5 * x * x) / (k * (2 * l + 2 * k + 1))
-        total += term
-        if (np.abs(term) <= 1e-18 * np.abs(total) + 1e-300).all():
-            break
-    return total
-
-
-def _bessel_downward(l: int, x: np.ndarray) -> np.ndarray:
-    # Miller's algorithm: recur j_{k-1} = (2k+1)/x j_k - j_{k+1} from a
-    # start order well above both l and x, then normalize with j_0.
-    start = int(max(l, np.max(x))) + 40
-    jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-30)
-    out = jc.copy() if start == l else None
-    for k in range(start, 0, -1):
-        jm = (2 * k + 1) / x * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == l:
-            out = jc.copy()
-        big = np.abs(jc) > 1e250
-        if big.any():
-            jp[big] /= 1e250
-            jc[big] /= 1e250
-            if out is not None:
-                out[big] /= 1e250
-    return out * (np.sin(x) / x) / jc
-
-
 def spherical_bessel_j(l: int, x) -> np.ndarray | float:
-    """Spherical Bessel function j_l(x) for x >= 0, accurate to ~1e-13."""
+    """Spherical Bessel function j_l(x) for x >= 0, accurate to ~1e-13
+    (`_bessel_neighbours` of the one order l)."""
     if l < 0:
         raise ParameterError("order l must be >= 0")
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
     if (xa < 0).any():
         raise ParameterError("argument must be >= 0")
-    small = xa < max(0.5 * l, 0.5)
-    if not small.any():
-        out = _bessel_above_cut(l, xa)
-    else:
-        out = np.empty_like(xa)
-        out[small] = _bessel_series(l, xa[small])
-        large = ~small
-        if large.any():
-            out[large] = _bessel_above_cut(l, xa[large])
-    return float(out[0]) if scalar else out
-
-
-def _bessel_above_cut(l: int, x: np.ndarray) -> np.ndarray:
-    # closed forms for l <= 2; recurrences beyond
-    up = x >= l  # upward recurrence is stable only in the oscillatory regime
-    if l <= 2 or up.all():
-        return _bessel_rows(x, l, l)[0]
-    vals = np.empty_like(x)
-    if up.any():
-        vals[up] = _bessel_rows(x[up], l, l)[0]
-    vals[~up] = _bessel_downward(l, x[~up])
-    return vals
+    out = _bessel_neighbours(l + 1, xa, 1)[0]
+    return float(out[0]) if xa.ndim == 0 else out
 
 
 def _bessel_rows(x: np.ndarray, lo: int, hi: int) -> list:
@@ -139,18 +89,51 @@ def _bessel_rows(x: np.ndarray, lo: int, hi: int) -> list:
     return rows
 
 
+def _bessel_miller(x: np.ndarray, lo: int, hi: int) -> list:
+    """[j_lo(x), ..., j_hi(x)] for x >= 0 from one Miller downward sweep.
+
+    The recurrence j_(k-1) = (2k+1)/x j_k - j_(k+1) runs from j_N = 1,
+    j_(N+1) = 0 at N = max(hi, 13) + 40, far above every order and every x
+    below the cut, down to j_0.  After each step both terms are rescaled by
+    a power of two, which is exact, so nothing overflows and no element
+    depends on another.  The sweep is normalized by whichever of j_0 and j_1
+    (closed forms) is larger in magnitude; their zeros interlace, so the two
+    never vanish together.  x = 0 is set exactly.
+    """
+    zero = x == 0
+    x = np.where(zero, 1.0, x)
+    jp, jc = np.zeros_like(x), np.ones_like(x)
+    shift = np.zeros(x.shape, dtype=int)  # jc and jp carry a factor 2^-shift
+    held = []
+    for k in range(max(hi, 13) + 40, 0, -1):
+        if k <= hi:
+            held.append((jc, shift))
+        jp, jc = jc, (2 * k + 1) / x * jc - jp
+        jc, e = np.frexp(jc)
+        jp, shift = np.ldexp(jp, -e), shift + e
+    held.append((jc, shift))
+    j0, j1 = _bessel_rows(x, 0, 1)
+    scale = np.where(np.abs(j0) >= np.abs(j1), j0 / jc, j1 / jp)
+    rows = [np.ldexp(v * scale, s - shift) for v, s in held[::-1][lo : hi + 1]]
+    for k, row in enumerate(rows, lo):
+        row[zero] = k == 0
+    return rows
+
+
 def _bessel_neighbours(l, x, count: int = 2) -> list:
-    """[j_(l-1)(x), j_l(x), ...]: ``count`` consecutive orders from l - 1.
+    """[j_(l-1)(x), j_l(x), ...]: ``count`` consecutive orders from l - 1, x >= 0.
 
     ``l`` is an int or an int array like ``x``, so every element may carry
-    its own degree.  The result equals `spherical_bessel_j` of each order on
-    the elements of each l, bit for bit.  Where that function uses a closed
-    form (order <= 2) or the upward recurrence (x >= order) its value is
-    elementwise, and one sin/cos and one recurrence here (`_bessel_rows`)
-    give every order.  Its power series (x < order/2) and downward
-    recurrence (x < order) depend on the whole array they run on, so those
-    elements go to `spherical_bessel_j` as one array per l and order, in
-    their given order.
+    its own degree.  An order at or above its cut (`_elementwise_from`)
+    takes its closed form (order <= 2) or the upward recurrence: one sin/cos
+    and one recurrence give every order (`_bessel_rows`).  Below the cut it
+    comes from one Miller downward sweep (`_bessel_miller`) over the
+    elements that lie below the cut of their own top order, l + count - 2;
+    a call with no such element costs what `_bessel_rows` does.  Every step
+    is elementwise, and the sweep starts at order 53 in every call whose
+    top order is 13 or less (every call a mode library makes), so there a
+    value depends on its x and order alone: not on the other elements, l or
+    ``count``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(l, (int, np.integer)):
@@ -159,33 +142,34 @@ def _bessel_neighbours(l, x, count: int = 2) -> list:
         l = np.asarray(l)
         lmin, lmax = (int(l.min()), int(l.max())) if l.size else (1, 1)
     lo, hi = lmin - 1, lmax + count - 2
-    elementwise = not x.size or x.min() >= _elementwise_from(hi)
-    if elementwise:
+    if not x.size or x.min() >= _elementwise_from(hi):
+        low = None
         rows = _bessel_rows(x, lo, hi)
     else:
+        low = x < _elementwise_from(l + count - 2)
         with np.errstate(all="ignore"):  # values below the cut are replaced below
             rows = _bessel_rows(x, lo, hi)
-    if lmin == lmax:
-        out = rows
-    else:
-        table, idx = np.array(rows), np.arange(x.size)
-        out = [table[l + (d - lmin), idx] for d in range(count)]
-    if elementwise:
+    out = rows if lmin == lmax else _gather(rows, l - lmin, count)
+    if low is None or not low.any():
         return out
-    for d, vals in enumerate(out):
-        order = l + (d - 1)
-        low = x < _elementwise_from(order)
-        if low.any():
-            order = np.broadcast_to(order, x.shape)
-            for k in sorted(set(order[low].tolist())):
-                part = low & (order == k)
-                vals[part] = spherical_bessel_j(k, x[part])
+    sweep = _bessel_miller(x[low], lo, hi)
+    if lmin != lmax:
+        sweep = _gather(sweep, l[low] - lmin, count)
+    for d, (vals, swept) in enumerate(zip(out, sweep)):
+        below = (x < _elementwise_from(l + (d - 1)))[low]
+        vals[low] = np.where(below, swept, vals[low])
     return out
 
 
+def _gather(rows: list, offset: np.ndarray, count: int) -> list:
+    """Per element, ``count`` consecutive ``rows`` from its own ``offset``."""
+    table, idx = np.array(rows), np.arange(offset.size)
+    return [table[offset + d, idx] for d in range(count)]
+
+
 def _elementwise_from(order):
-    """Least x at which `spherical_bessel_j` of ``order`` (an int or an int
-    array) takes a closed form or the upward recurrence."""
+    """Cut of ``order`` (an int or an int array): the least x at which it
+    takes a closed form (order <= 2) or the upward recurrence (order >= 3)."""
     if isinstance(order, int):
         return order if order >= 3 else max(0.5 * order, 0.5)
     return np.where(order >= 3, order, np.maximum(0.5 * order, 0.5))
@@ -291,13 +275,16 @@ def _bessel_zero_ladder(max_order: int, count: int) -> list:
 # spherical harmonics
 
 
-def _legendre_column(l: int, m: int, costh, sinth) -> list:
+def _legendre_column(l: int, m: int, costh, sinth, over_sin: bool = False) -> list:
     """[Ptilde_mm, ..., Ptilde_lm]: fully normalized associated Legendre
     functions of order m >= 0, degrees m..l, from one degree recurrence, with
-    the Condon-Shortley phase, so that Y_lm = Ptilde_lm exp(i m phi)."""
+    the Condon-Shortley phase, so that Y_lm = Ptilde_lm exp(i m phi).
+
+    With ``over_sin`` (m >= 1) every entry is divided by sin(theta): the
+    seed takes one sin factor fewer, so the poles give the finite limit."""
     p = np.full_like(costh, 1.0 / np.sqrt(4.0 * np.pi))
     for k in range(1, m + 1):
-        p = -np.sqrt((2 * k + 1) / (2.0 * k)) * sinth * p
+        p = -np.sqrt((2 * k + 1) / (2.0 * k)) * (1.0 if over_sin and k == m else sinth) * p
     column = [p]
     if l > m:
         column.append(np.sqrt(2 * m + 3.0) * costh * p)
@@ -310,30 +297,36 @@ def _legendre_column(l: int, m: int, costh, sinth) -> list:
 
 def spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray | complex:
     """Orthonormal scalar spherical harmonic Y_lm(theta, phi)."""
-    if l < 0 or abs(m) > l:
-        raise ParameterError("require l >= 0 and |m| <= l")
     th = np.asarray(theta, dtype=float)
     ph = np.asarray(phi, dtype=float)
-    scalar = th.ndim == 0 and ph.ndim == 0
-    th, ph = np.atleast_1d(th), np.atleast_1d(ph)
+    y = _harmonic(l, m, np.atleast_1d(th), np.atleast_1d(ph))
+    return complex(y[0]) if th.ndim == 0 and ph.ndim == 0 else y
+
+
+def _harmonic(l: int, m: int, th, ph, over_sin: bool = False) -> np.ndarray:
+    """Y_lm(th, ph), or with ``over_sin`` (m != 0) Y_lm / sin(th), whose
+    value at the poles is its finite limit (`_legendre_column`)."""
+    if l < 0 or abs(m) > l:
+        raise ParameterError("require l >= 0 and |m| <= l")
     am = abs(m)
-    p = _legendre_column(l, am, np.cos(th), np.sin(th))[-1]
+    p = _legendre_column(l, am, np.cos(th), np.sin(th), over_sin)[-1]
     y = p * np.exp(1j * am * ph)
     if m < 0:
         y = (-1.0) ** am * np.conj(y)
-    return complex(y[0]) if scalar else y
+    return y
 
 
 def spherical_harmonic_dtheta(l: int, m: int, theta, phi) -> np.ndarray | complex:
     """Partial derivative dY_lm/dtheta.
 
-    Uses dY_lm/dtheta = m cot(theta) Y_lm + sqrt((l-m)(l+m+1)) e^(-i phi)
-    Y_{l,m+1}; not pole-safe for m != 0 (quadrature nodes avoid the poles).
+    Uses dY_lm/dtheta = m cos(theta) (Y_lm / sin(theta)) + sqrt((l-m)(l+m+1))
+    e^(-i phi) Y_{l,m+1}, with Y_lm / sin(theta) from `_harmonic`, so the
+    poles give the finite limit.
     """
     th = np.asarray(theta, dtype=float)
     out = np.zeros(np.broadcast(th, np.asarray(phi)).shape, dtype=complex)
     if m != 0:
-        out = out + m / np.tan(th) * spherical_harmonic(l, m, theta, phi)
+        out = out + m * np.cos(th) * _harmonic(l, m, th, np.asarray(phi, dtype=float), True)
     if m + 1 <= l:
         out = out + np.sqrt((l - m) * (l + m + 1.0)) * np.exp(
             -1j * np.asarray(phi)
@@ -344,7 +337,8 @@ def spherical_harmonic_dtheta(l: int, m: int, theta, phi) -> np.ndarray | comple
 def vector_spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray:
     """Tangential vector harmonic X_lm as spherical components (r, theta, phi).
 
-    The radial component is identically zero by construction.
+    The radial component is identically zero by construction; X_theta takes
+    Y_lm / sin(theta) from `_harmonic`, finite at the poles.
     """
     if l < 1:
         raise ParameterError("X_lm requires l >= 1 (X_00 vanishes identically)")
@@ -353,7 +347,7 @@ def vector_spherical_harmonic(l: int, m: int, theta, phi) -> np.ndarray:
     norm = 1.0 / np.sqrt(l * (l + 1.0))
     xth = np.zeros(np.broadcast(th, ph).shape, dtype=complex)
     if m != 0:
-        xth = -m * spherical_harmonic(l, m, th, ph) / np.sin(th) * norm
+        xth = -m * _harmonic(l, m, th, ph, True) * norm
     xph = -1j * spherical_harmonic_dtheta(l, m, th, ph) * norm
     return np.stack([np.zeros_like(xth), xth, xph])
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,32 @@ class TestEarlyCommand:
         t, da, de = rows[:, 3], rows[:, 4], rows[:, 6]
         assert np.allclose(de * np.sqrt(t), de[0] * np.sqrt(t[0]), rtol=1e-9)
         assert np.allclose(da / np.sqrt(t), da[0] / np.sqrt(t[0]), rtol=1e-9)
+
+    def test_scan_on_the_axis_is_the_limit(self, tmp_path, sample_config_dict):
+        # a square transmitter couples m != 0 harmonics, whose fields hold
+        # m Y_lm / sin(theta): on the z-axis they take its finite limit
+        cfg = json.loads(json.dumps(sample_config_dict))
+        cfg["loops"]["transmitter"] = {
+            "kind": "polygon", "windings": 1,
+            "vertices_m": [[-0.25, -0.3, 0.3], [0.35, -0.3, 0.3], [0.35, 0.3, 0.3],
+                           [-0.25, 0.3, 0.3]],
+        }
+        cfg["options"]["max_l"] = 2
+        path = tmp_path / "polygon.json"
+        path.write_text(json.dumps(cfg))
+        scans = {}
+        for theta in ("0", "1e-7"):
+            out = tmp_path / theta
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["early", "--config", str(path), "--out", str(out),
+                                 "--gates", "1e-6,1e-4,40", "--scan", f"0.3,{theta},0.5"])
+            assert code == 0
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            scans[theta] = np.genfromtxt(out / "early_scan.csv", delimiter=",", names=True)
+        for column in ("dA", "dB", "dE"):
+            assert np.isfinite(scans["0"][column]).all()
+            np.testing.assert_allclose(scans["0"][column], scans["1e-7"][column], rtol=1e-6)
 
     def test_transient_flags_agree_with_simulate(self, tmp_path, sample_config_dict):
         # with the background transient kept, the early window opens 10

@@ -19,7 +19,6 @@ from temsphere.modes import (
     NumericalError,
     _eigencondition_fdf,
     _residual_ok,
-    _wavenumbers,
     eigencondition,
     normalization_constant,
 )
@@ -107,24 +106,31 @@ class TestFindDecayRates:
 
 
 class TestResidualGate:
-    def test_one_bessel_pair_per_sector(self, monkeypatch):
-        # the gate takes F and F' from the Newton pair: one j_(l-1), j_l
-        # kernel call, and no `spherical_bessel_j` call for roots above x = l
-        roots = _wavenumbers((2,), 60.0, 50)
-        calls, kernel = [], special._bessel_neighbours
+    def test_one_bessel_pair_per_sector(self, cold_libraries, monkeypatch):
+        # once the roots are found, the residual gate and the Lommel norms
+        # read one j_(l-1), j_l, j_(l+1) kernel call over every root of the
+        # library, and no `spherical_bessel_j` call
+        calls, kernel, roots = [], special._bessel_neighbours, modes_mod._wavenumbers
 
         def counted(l, x):
             calls.append(l)
             return spherical_bessel_j(l, x)
 
-        def pairs(l, x, count=2):
-            calls.append(("pair", l, count))
+        def triples(l, x, count=2):
+            calls.append(("kernel", np.unique(l).tolist(), np.size(x), count))
             return kernel(l, x, count)
 
+        def found(*args):
+            out = roots(*args)
+            calls.clear()
+            return out
+
         monkeypatch.setattr(special, "spherical_bessel_j", counted)
-        monkeypatch.setattr(modes_mod, "_bessel_neighbours", pairs)
-        assert _residual_ok(2, roots, 60.0).all()
-        assert calls == [("pair", 2, 2)]
+        monkeypatch.setattr(modes_mod, "_bessel_neighbours", triples)
+        monkeypatch.setattr(modes_mod, "_wavenumbers", found)
+        target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8, 60.0))
+        ts.build_mode_library(target, 1.0, 3, 50)
+        assert calls == [("kernel", [1, 2, 3], 150, 3)]
 
 
 class TestModeCountCeiling:
@@ -392,16 +398,20 @@ class TestBracketScan:
         np.testing.assert_allclose(f, 1e-9**l * (l + 1 + l * mu) / dfact, rtol=1e-14)
 
     def test_start_point_takes_no_bessel_series(self, cold_libraries, monkeypatch):
-        lows, series = [], special._bessel_series
+        # the start point's residual is not evaluated: no low-band sweep at x = 1e-9
+        lows, sweep = [], special._bessel_miller
 
-        def spy(l, x):
+        def spy(x, lo, hi):
             lows.append(float(np.min(x)))
-            return series(l, x)
+            return sweep(x, lo, hi)
 
-        monkeypatch.setattr(special, "_bessel_series", spy)
+        monkeypatch.setattr(special, "_bessel_miller", spy)
         target = ts.TargetSpec(0.05, ts.MaterialSpec(1 / 2.8e-8, 60.0))
+        # a background above the target's mu_r sends the first Newton
+        # midpoints of sectors 3-6 through the sweep, never the start point
+        ts.build_mode_library(target, 300.0, 6, 100)
         built = ts.build_mode_library(target, 1.0, 6, 100).columns
-        assert not any(low <= 1e-9 for low in lows)
+        assert lows and not any(low <= 1e-9 for low in lows)
 
         # the scan as it was, one sector at a time, with the residual at the
         # start point computed: the same roots bit for bit (rate and norm are
@@ -466,7 +476,8 @@ class TestSpectrumCache:
         assert again is not libs[0] and again.columns.x.tobytes() == libs[0].columns.x.tobytes()
 
     def test_failed_sector_is_not_stored(self, cold_libraries, monkeypatch, steel_sphere):
-        monkeypatch.setattr(modes_mod, "_residual_ok", lambda l, x, mu: np.zeros(x.shape, bool))
+        monkeypatch.setattr(modes_mod, "_residual_ok",
+                            lambda l, x, mu, bessel=None: np.zeros(x.shape, bool))
         with pytest.raises(NumericalError):
             ts.find_decay_rates(steel_sphere, 1.0, l=1, count=5)
         with pytest.raises(NumericalError):

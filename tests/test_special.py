@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import spherical_jn
@@ -64,11 +65,31 @@ class TestSphericalBessel:
             spherical_bessel_j(1, -1.0)
 
 
+class TestBesselOracle:
+    # 30-digit mpmath at and just above the zeros of j_0 (x = k pi + delta),
+    # where a sweep normalized by j_0 alone lost every digit (relative error
+    # 4.4 at l = 12, x = 3 pi), and near x = 0
+    X = [k * np.pi + d for k in range(1, 5) for d in (0.0, 1e-12, 1e-9, 1e-6, 1e-3)]
+    X += [0.0, 1e-9, 1e-5, 0.3]
+
+    @pytest.mark.parametrize("l", range(14))
+    def test_matches_mpmath(self, l):
+        got = spherical_bessel_j(l, np.array(self.X))
+        with mpmath.workdps(30):
+            for x, value in zip(self.X, got):
+                if x == 0.0:
+                    assert value == (1.0 if l == 0 else 0.0)
+                    continue
+                xm = mpmath.mpf(x)
+                want = mpmath.sqrt(mpmath.pi / (2 * xm)) * mpmath.besselj(l + mpmath.mpf(1) / 2, xm)
+                assert abs(value - want) <= 1e-13 * abs(want), (l, x, value, float(want))
+
+
 class TestBesselNeighbours:
-    # every regime of `spherical_bessel_j` for orders 0-13: power series
-    # (x < max(k/2, 1/2)), downward recurrence (k/2 <= x < k, k >= 3), closed
-    # forms (k <= 2) and upward recurrence (x >= k)
-    X = np.concatenate([[1e-9, 0.3], np.linspace(0.05, 16.0, 151), [2.5, 3.0, 6.0, 13.0]])
+    # every regime for orders 0-13: the Miller sweep below the cut
+    # (x < max(k/2, 1/2) for k <= 2, x < k beyond), closed forms (k <= 2)
+    # and the upward recurrence (x >= k)
+    X = np.concatenate([[0.0, 1e-9, 0.3], np.linspace(0.05, 16.0, 151), [2.5, 3.0, 6.0, 13.0]])
 
     @pytest.mark.parametrize("l", range(1, 13))
     def test_one_degree_equals_spherical_bessel_j(self, l):
@@ -85,6 +106,17 @@ class TestBesselNeighbours:
             for d in range(3):
                 want = spherical_bessel_j(l - 1 + d, x[part])
                 assert got[d][part].tobytes() == want.tobytes(), (l, d)
+
+    def test_mixed_degrees_equal_each_element_alone(self):
+        # no value depends on the rest of its call, below the cut included
+        rng = np.random.default_rng(5)
+        ls = rng.integers(1, 13, 300)
+        x = np.concatenate([[0.0, 1e-9, 1e-5], rng.uniform(0.0, 14.0, 297)])
+        for count in (1, 2, 3):
+            got = np.array(_bessel_neighbours(ls, x, count))
+            alone = np.array([_bessel_neighbours(int(l), x[i : i + 1], count)
+                              for i, l in enumerate(ls)])[:, :, 0].T
+            assert got.tobytes() == alone.tobytes(), count
 
 
 class TestRefineRoots:
@@ -216,6 +248,27 @@ class TestVectorHarmonics:
         assert x[2][0] == pytest.approx(-1j * dy_fd / np.sqrt(2.0), rel=1e-8)
         expected = -1j * (-np.sqrt(3 / (8 * np.pi)) * np.sin(theta))
         assert x[2][0] == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi])
+    def test_poles_give_the_limit(self, theta):
+        # m Y_lm / sin(theta) comes from the Legendre recurrence, not from a
+        # division by sin(theta): finite on the axis and continuous up to it
+        near = abs(theta - 1e-9)
+        for l in range(1, 9):
+            for m in range(-l, l + 1):
+                at = vector_spherical_harmonic(l, m, theta, 0.5)
+                np.testing.assert_allclose(at, vector_spherical_harmonic(l, m, near, 0.5),
+                                           rtol=0, atol=1e-7)
+                dy = spherical_harmonic_dtheta(l, m, theta, 0.5)
+                assert dy == pytest.approx(spherical_harmonic_dtheta(l, m, near, 0.5), abs=1e-7)
+
+    def test_theta_component_off_the_axis(self):
+        theta, phi = np.linspace(0.05, np.pi - 0.05, 25), 0.3
+        for l in range(1, 9):
+            for m in range(-l, l + 1):
+                want = -m * spherical_harmonic(l, m, theta, phi) / np.sin(theta) / np.sqrt(l * (l + 1.0))
+                got = vector_spherical_harmonic(l, m, theta, phi)[1]
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 class TestProjection:
